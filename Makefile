@@ -20,7 +20,8 @@ lint-src:
 # The static analyser over the shipped fixtures: good ones must be clean
 # even under --strict, the deliberately-bad ones must exit 2, and the
 # --json report must parse in both cases (guards the hand-rolled
-# emitter).
+# emitter).  `propagate` and `case` must also exit 2 on the malformed
+# case file, not cmdliner's usage-error code.
 check-fixtures: build
 	dune exec bin/confcase.exe -- check \
 	  examples/shutdown.case examples/sis.belief --strict
@@ -34,6 +35,10 @@ check-fixtures: build
 	  examples/bad_shutdown.case examples/bad_sis.belief --json); \
 	  code=$$?; test "$$code" -eq 2 && \
 	  printf '%s' "$$out" | python3 -c "import json,sys; json.load(sys.stdin)"
+	dune exec bin/confcase.exe -- propagate examples/bad_shutdown.case; \
+	  code=$$?; test "$$code" -eq 2
+	dune exec bin/confcase.exe -- case examples/bad_shutdown.case; \
+	  code=$$?; test "$$code" -eq 2
 
 # The semantic audit over the shipped fixtures: the good case must stay
 # clean under a reachable target even with --strict, the unattainable
@@ -68,8 +73,9 @@ bench-json:
 bench-vr-smoke:
 	dune exec bench/main.exe -- --vr-smoke
 
-# Micro rows only: exercises every SoA/columnar path (column quantile,
-# mixture cum-column sampling, sketch merge_into, snapshot save/load).
+# Micro rows only: exercises the column kernels (column quantile,
+# mixture cum-column sampling, sketch add/merge/merge_into, batched RNG
+# fill, snapshot save/load).
 bench-soa-smoke:
 	dune exec bench/main.exe -- --soa-smoke
 

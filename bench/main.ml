@@ -241,7 +241,8 @@ let sketch_kernel () =
   in
   let seq =
     let batch = 4096 in
-    let buf = Stdlib.Float.Array.create batch in
+    let col = Numerics.Columns.make batch 0.0 in
+    let buf = Numerics.Columns.unsafe_data col in
     ols_nanos ~name:"sketch_mc/seq" (fun () ->
         let rng = Numerics.Rng.create seed in
         let sk = Numerics.Sketch.create () in
@@ -249,7 +250,7 @@ let sketch_kernel () =
         while !rem > 0 do
           let len = min !rem batch in
           Dist.Mixture.sample_into prior rng buf ~pos:0 ~len;
-          Numerics.Sketch.add_floatarray sk buf ~pos:0 ~len;
+          Numerics.Sketch.add_column sk col ~pos:0 ~len;
           rem := !rem - len
         done;
         Numerics.Sketch.quantile sk 0.5)
@@ -450,7 +451,7 @@ let micro_rows () =
   (* An 8-component mixture: the cumulative-weight binary-search path
      (neither the atoms-only nor the 1/2-component fast paths apply).
      Scalar = one [sample] call per slot, the pre-columnar fallback for
-     k >= 3; SoA = [sample_into_col] batching selection through the cum
+     k >= 3; SoA = [sample_into] batching selection through the cum
      column. *)
   let mixture8 =
     Dist.Mixture.make
@@ -465,11 +466,11 @@ let micro_rows () =
   in
   let mix_n = 262_144 in
   let mixture_scalar =
-    let buf = Stdlib.Float.Array.create mix_n in
+    let col = Numerics.Columns.make mix_n 0.0 in
     ols_nanos ~name:"mixture_sample8_scalar_262k" (fun () ->
         let rng = Numerics.Rng.create 11 in
         for i = 0 to mix_n - 1 do
-          Stdlib.Float.Array.set buf i (Dist.Mixture.sample mixture8 rng)
+          Numerics.Columns.set col i (Dist.Mixture.sample mixture8 rng)
         done)
   in
   let mixture_soa =
@@ -477,7 +478,7 @@ let micro_rows () =
     let buf = Numerics.Columns.unsafe_data col in
     ols_nanos ~name:"mixture_sample8_soa_262k" (fun () ->
         let rng = Numerics.Rng.create 11 in
-        Dist.Mixture.sample_into_col mixture8 rng buf ~pos:0 ~len:mix_n)
+        Dist.Mixture.sample_into mixture8 rng buf ~pos:0 ~len:mix_n)
   in
   let sketch_add =
     let col = Numerics.Columns.of_array xs in
@@ -540,7 +541,7 @@ let micro_rows () =
         !acc)
   in
   let rng_fill =
-    let buf = Stdlib.Float.Array.create micro_n in
+    let buf = Numerics.Columns.unsafe_data (Numerics.Columns.make micro_n 0.0) in
     ols_nanos ~name:"rng_fill_floats_1e6" (fun () ->
         let rng = Numerics.Rng.create 7 in
         Numerics.Rng.fill_floats rng buf ~pos:0 ~len:micro_n)
@@ -1409,11 +1410,11 @@ let () =
        ################\n";
     print_vr_rows (vr_rows ~n:16384 ())
   | [ "--soa-smoke" ] ->
-    (* The micro rows only — exercises every SoA path (column quantile,
-       cum-column mixture sampling, columnar sketch add/merge/merge_into,
-       snapshot save/load incl. mmap) without the slow experiment and
-       kernel sections.  Informational: CI gates on completion, not on
-       the ratios. *)
+    (* The micro rows only — exercises the column kernels (column
+       quantile, cum-column mixture sampling, sketch add/merge/merge_into,
+       batched RNG fill, snapshot save/load incl. mmap) without the slow
+       experiment and kernel sections.  Informational: CI gates on
+       completion, not on the ratios. *)
     print_endline "################ Micro regressions (SoA smoke) ################\n";
     print_rows (micro_rows ())
   | [ "--graph-smoke" ] ->

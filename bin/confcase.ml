@@ -23,6 +23,13 @@ open Cmdliner
 let cmd_info name ~doc ?man () =
   Cmd.info name ~version:Version.version ~doc ?man
 
+(* A malformed input file is a finding about the file, not a usage error:
+   report it as cmdliner reports errors, but exit 2 — the code [check] and
+   [audit] give the same file — instead of cmdliner's usage code 124. *)
+let input_error msg =
+  Printf.eprintf "confcase: %s\n%!" msg;
+  exit 2
+
 let positive_float ~what v =
   if v <= 0.0 then `Error (Printf.sprintf "%s must be positive" what)
   else `Ok v
@@ -452,8 +459,8 @@ let case_cmd =
     in
     match Casekit.Case_format.parse text with
     | exception Casekit.Case_format.Parse_error e ->
-      `Error (false, Printf.sprintf "%s:%d: %s" file e.line e.message)
-    | exception Invalid_argument msg -> `Error (false, msg)
+      input_error (Printf.sprintf "%s:%d: %s" file e.line e.message)
+    | exception Invalid_argument msg -> input_error msg
     | case ->
       print_string (Casekit.Node.render case);
       let dep =
@@ -566,11 +573,12 @@ let propagate_cmd =
     in
     let graph =
       match (file, generate) with
-      | Some _, true -> Error "give FILE or --generate, not both"
-      | None, false -> Error "no input: give a case FILE or --generate"
+      | Some _, true -> Error (`Usage "give FILE or --generate, not both")
+      | None, false ->
+        Error (`Usage "no input: give a case FILE or --generate")
       | None, true -> (
         try Ok (Casekit.Generate.case ~seed ~legs ~fanout ~depth ~shared ())
-        with Invalid_argument msg -> Error msg)
+        with Invalid_argument msg -> Error (`Usage msg))
       | Some path, false -> (
         let text =
           let ic = open_in path in
@@ -581,13 +589,15 @@ let propagate_cmd =
         in
         match Casekit.Case_format.parse text with
         | exception Casekit.Case_format.Parse_error e ->
-          Error (Printf.sprintf "%s:%d: %s" path e.line e.message)
-        | exception Invalid_argument msg -> Error msg
+          Error (`Input (Printf.sprintf "%s:%d: %s" path e.line e.message))
+        | exception Invalid_argument msg -> Error (`Input msg)
         | case -> (
-          try Ok (G.of_node case) with Invalid_argument msg -> Error msg))
+          try Ok (G.of_node case)
+          with Invalid_argument msg -> Error (`Input msg)))
     in
     match (dep, graph) with
-    | Error msg, _ | _, Error msg -> `Error (false, msg)
+    | Error msg, _ | _, Error (`Usage msg) -> `Error (false, msg)
+    | Ok _, Error (`Input msg) -> input_error msg
     | Ok dep, Ok g ->
       let n = G.size g in
       Printf.printf "Graph: %d nodes, %d edges, %d levels%s\n" n

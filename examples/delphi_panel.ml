@@ -57,12 +57,25 @@ let () =
           pit_pairs := (Elicit.Delphi.belief_of e, config.true_pfd) :: !pit_pairs)
       f.experts
   done;
-  Printf.printf "  Brier score of the panel's SIL2 forecast: %.4f\n"
-    (Elicit.Calibration.brier !predictions);
-  let ks =
-    Elicit.Calibration.ks_uniform_stat
-      (Elicit.Calibration.pit_values !pit_pairs)
+  (* Brier score: mean squared error of the forecast probability against
+     the 0/1 outcome; 0 is a perfect forecaster. *)
+  let brier =
+    List.fold_left
+      (fun acc (p, outcome) ->
+        let o = if outcome then 1.0 else 0.0 in
+        acc +. ((p -. o) *. (p -. o)))
+      0.0 !predictions
+    /. float_of_int (List.length !predictions)
   in
+  Printf.printf "  Brier score of the panel's SIL2 forecast: %.4f\n" brier;
+  (* Probability integral transform: a calibrated expert's CDF evaluated
+     at the truth is uniform on (0,1); the KS distance measures the
+     defect. *)
+  let pits =
+    Array.of_list
+      (List.map (fun ((d : Dist.t), truth) -> d.cdf truth) !pit_pairs)
+  in
+  let ks = (Numerics.Stat_tests.ks_uniform pits).statistic in
   Printf.printf
     "  KS calibration defect of individual experts: %.3f\n\
     \  (> 0 because the Delphi protocol pulls experts together: consensus \

@@ -486,12 +486,28 @@ let to_node t =
   if not (is_tree t) then
     invalid_arg "Graph.to_node: graph is a DAG (shared support has no tree \
                  rendering)";
+  (* Anonymous (generated) nodes are named [#i], as the audit prints them,
+     so the tree passes [Node]'s non-empty-id rule and prints to text its
+     own parser reads back.  Should an authored node or assumption already
+     hold that name, primes are appended until it is free. *)
+  let taken = Hashtbl.create 64 in
+  Array.iter (fun id -> if id <> "" then Hashtbl.replace taken id ()) t.ids;
+  Array.iter
+    (List.iter (fun (a : Node.assumption) -> Hashtbl.replace taken a.aid ()))
+    t.assumption_lists;
+  let name i =
+    match t.ids.(i) with
+    | "" ->
+      let rec free s = if Hashtbl.mem taken s then free (s ^ "'") else s in
+      free (Printf.sprintf "#%d" i)
+    | id -> id
+  in
   (* Recursion depth is the tree height — fine for authored cases; the
      graphs deep enough to threaten the stack are generated DAG benches
      that never come back through here. *)
   let rec build i =
     if Bytes.get t.kinds i = tag_evidence then
-      Node.evidence ~id:t.ids.(i) ~statement:t.statements.(i)
+      Node.evidence ~id:(name i) ~statement:t.statements.(i)
         ~confidence:(Columns.get t.base i)
     else begin
       let kids = ref [] in
@@ -501,7 +517,7 @@ let to_node t =
       let combinator =
         if Bytes.get t.kinds i = tag_all then Node.All else Node.Any
       in
-      Node.goal ~id:t.ids.(i) ~statement:t.statements.(i) ~combinator
+      Node.goal ~id:(name i) ~statement:t.statements.(i) ~combinator
         ~assumptions:t.assumption_lists.(i) !kids
     end
   in

@@ -96,7 +96,10 @@ end
 val of_node : Node.t -> t
 
 (** [to_node t] — bridge back to a boxed tree.  [to_node (of_node t) = t]
-    structurally.
+    structurally.  Anonymous nodes (from {!Builder} or {!Generate}) are
+    named [#i] after their index — primed if an authored id already holds
+    that name — so the tree prints ([Case_format.print]) to text that
+    parses back.
     @raise Invalid_argument if the graph is not a tree (some node has
     more than one parent): a DAG has no faithful tree rendering. *)
 val to_node : t -> Node.t

@@ -13,15 +13,18 @@ type t =
   | Evidence of { id : string; statement : string; confidence : float }
 
 let goal ~id ~statement ?(combinator = All) ?(assumptions = []) children =
+  if id = "" then invalid_arg "Node.goal: empty id";
   if children = [] then invalid_arg "Node.goal: a goal needs support";
   Goal { id; statement; combinator; assumptions; supported_by = children }
 
 let evidence ~id ~statement ~confidence =
+  if id = "" then invalid_arg "Node.evidence: empty id";
   if not (confidence > 0.0 && confidence <= 1.0) then
     invalid_arg "Node.evidence: confidence must be in (0,1]";
   Evidence { id; statement; confidence }
 
 let assumption ~id ~statement ~p_valid =
+  if id = "" then invalid_arg "Node.assumption: empty id";
   if not (p_valid > 0.0 && p_valid <= 1.0) then
     invalid_arg "Node.assumption: p_valid must be in (0,1]";
   { aid = id; a_statement = statement; p_valid }

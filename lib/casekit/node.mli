@@ -25,7 +25,9 @@ type t =
   | Evidence of { id : string; statement : string; confidence : float }
 
 (** [goal ~id ~statement ?combinator ?assumptions children] — [combinator]
-    defaults to [All]; children must be non-empty. *)
+    defaults to [All]; children must be non-empty.  Every constructor
+    rejects an empty [id] ([Invalid_argument]): it would print as a node
+    line the case-file parser cannot read back. *)
 val goal :
   id:string ->
   statement:string ->

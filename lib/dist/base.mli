@@ -30,15 +30,11 @@ type t = {
 }
 
 (** [sample_into t rng buf ~pos ~len] — write [len] independent samples
-    into [buf.(pos) ..].  Bit-identical to [len] successive [t.sample rng]
-    calls, but closed-form families run the allocation-free batched RNG
-    kernels instead of a closure call per draw. *)
-val sample_into : t -> Numerics.Rng.t -> floatarray -> pos:int -> len:int -> unit
-
-(** [sample_into_col t rng buf ~pos ~len] — as {!sample_into} but writing
-    through [Bigarray.Array1] column storage ([Columns.unsafe_data]);
-    draw-for-draw bit-identical to [sample_into] on the same generator. *)
-val sample_into_col :
+    into [buf.{pos} ..] of a column's storage ([Columns.unsafe_data]).
+    Bit-identical to [len] successive [t.sample rng] calls, but
+    closed-form families run the allocation-free batched RNG kernels
+    instead of a closure call per draw. *)
+val sample_into :
   t -> Numerics.Rng.t -> Numerics.Columns.ba -> pos:int -> len:int -> unit
 
 val std : t -> float

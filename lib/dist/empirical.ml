@@ -45,7 +45,6 @@ let of_bigarray ?share ba = of_column ?share (Numerics.Columns.of_bigarray ba)
 let size t = Numerics.Columns.length t.raw
 let mean t = Numerics.Columns.mean t.raw
 let variance t = Numerics.Columns.variance t.raw
-let samples_col t = t.raw
 let shared t = t.shared
 
 let work t =
@@ -86,7 +85,7 @@ let quantile t p =
   else
     (* Expected O(n); partially orders the scratch in place, so repeated
        quantile calls sharpen it without ever paying a full sort. *)
-    Numerics.Select.quantile_in_place_col (work t) p
+    Numerics.Select.quantile_in_place (work t) p
 
 let resample t rng =
   Numerics.Columns.get t.raw (Numerics.Rng.int rng (Numerics.Columns.length t.raw))

@@ -51,12 +51,6 @@ val mean : t -> float
 (** Unbiased sample variance; requires >= 2 samples. *)
 val variance : t -> float
 
-(** [samples_col t] — the underlying sample column, in construction order
-    for the default layout, current arrangement for [~share:true].  This
-    is the snapshot seam: persist with [Columns.save] and rebuild with
-    [of_column].  Aliases the live storage — do not mutate. *)
-val samples_col : t -> Numerics.Columns.t
-
 (** [shared t] — whether the single-buffer ([~share:true]) layout is in
     use. *)
 val shared : t -> bool

@@ -9,7 +9,6 @@ type component = Atom of float | Cont of Base.t
 type t = {
   parts : (float * component) array;
   comps : component array;
-  weights : Numerics.Columns.t;
   cum : Numerics.Columns.t;  (* cumulative weights; last entry pinned 1.0 *)
   atoms : Numerics.Columns.t;  (* Atom location per slot; 0.0 for Cont *)
   all_atoms : bool;
@@ -26,18 +25,16 @@ let of_parts parts =
     acc := !acc +. fst parts.(i);
     Numerics.Columns.set cum i !acc
   done;
-  let weights = Numerics.Columns.make k 0.0 in
   let atoms = Numerics.Columns.make k 0.0 in
   let comps = Array.map snd parts in
   let all_atoms = ref true in
   Array.iteri
-    (fun i (w, c) ->
-      Numerics.Columns.set weights i w;
+    (fun i (_, c) ->
       match c with
       | Atom a -> Numerics.Columns.set atoms i a
       | Cont _ -> all_atoms := false)
     parts;
-  { parts; comps; weights; cum; atoms; all_atoms = !all_atoms }
+  { parts; comps; cum; atoms; all_atoms = !all_atoms }
 
 let make components =
   if components = [] then invalid_arg "Mixture.make: no components";
@@ -189,17 +186,19 @@ let sample t rng =
    needs; it is simply a different — faster — stream than the scalar
    path's.
 
-   The k >= 3 resolve loop binary-searches the [cum] column (satellite of
-   the columnar refactor: it previously chased boxed pairs through
-   [parts]); when every component is an atom, resolution is a pure
-   column-to-column gather with no variant match at all. *)
-let sample_into t rng buf ~pos ~len =
-  if pos < 0 || len < 0 || len > Float.Array.length buf - pos then
+   The k >= 3 resolve loop binary-searches the [cum] column; when every
+   component is an atom, resolution is a pure column-to-column gather
+   with no variant match at all. *)
+let sample_into t rng (buf : Numerics.Columns.ba) ~pos ~len =
+  if pos < 0 || len < 0 || len > Bigarray.Array1.dim buf - pos then
     invalid_arg "Mixture.sample_into";
   let k = Array.length t.comps in
   if k = 1 then
     match t.comps.(0) with
-    | Atom a -> Float.Array.fill buf pos len a
+    | Atom a ->
+      for i = pos to pos + len - 1 do
+        Bigarray.Array1.unsafe_set buf i a
+      done
     | Cont d -> Base.sample_into d rng buf ~pos ~len
   else if k = 2 then begin
     (* Two components — the §3.4 worst-case belief shape, the hottest
@@ -208,67 +207,6 @@ let sample_into t rng buf ~pos ~len =
        are exactly those of the general branch below, so both branches
        produce the same stream. *)
     Numerics.Rng.fill_floats rng buf ~pos ~len;
-    let c0 = Numerics.Columns.get t.cum 0 in
-    match (t.comps.(0), t.comps.(1)) with
-    | Atom a0, Atom a1 ->
-      for i = pos to pos + len - 1 do
-        Float.Array.unsafe_set buf i
-          (if Float.Array.unsafe_get buf i < c0 then a0 else a1)
-      done
-    | p0, p1 ->
-      for i = pos to pos + len - 1 do
-        let u = Float.Array.unsafe_get buf i in
-        match if u < c0 then p0 else p1 with
-        | Atom a -> Float.Array.unsafe_set buf i a
-        | Cont d -> Float.Array.unsafe_set buf i (d.Base.sample rng)
-      done
-  end
-  else begin
-    Numerics.Rng.fill_floats rng buf ~pos ~len;
-    let cum = Numerics.Columns.unsafe_data t.cum in
-    if t.all_atoms then begin
-      let atoms = Numerics.Columns.unsafe_data t.atoms in
-      for i = pos to pos + len - 1 do
-        let u = Float.Array.unsafe_get buf i in
-        let lo = ref 0 and hi = ref (k - 1) in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if u < Bigarray.Array1.unsafe_get cum mid then hi := mid
-          else lo := mid + 1
-        done;
-        Float.Array.unsafe_set buf i (Bigarray.Array1.unsafe_get atoms !lo)
-      done
-    end
-    else
-      for i = pos to pos + len - 1 do
-        let u = Float.Array.unsafe_get buf i in
-        let lo = ref 0 and hi = ref (k - 1) in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if u < Bigarray.Array1.unsafe_get cum mid then hi := mid
-          else lo := mid + 1
-        done;
-        match Array.unsafe_get t.comps !lo with
-        | Atom a -> Float.Array.unsafe_set buf i a
-        | Cont d -> Float.Array.unsafe_set buf i (d.Base.sample rng)
-      done
-  end
-
-(* Column twin of [sample_into]: same dispatch, same decisions, same
-   stream, writing through bigarray storage. *)
-let sample_into_col t rng (buf : Numerics.Columns.ba) ~pos ~len =
-  if pos < 0 || len < 0 || len > Bigarray.Array1.dim buf - pos then
-    invalid_arg "Mixture.sample_into_col";
-  let k = Array.length t.comps in
-  if k = 1 then
-    match t.comps.(0) with
-    | Atom a ->
-      for i = pos to pos + len - 1 do
-        Bigarray.Array1.unsafe_set buf i a
-      done
-    | Cont d -> Base.sample_into_col d rng buf ~pos ~len
-  else if k = 2 then begin
-    Numerics.Rng.fill_floats_col rng buf ~pos ~len;
     let c0 = Numerics.Columns.get t.cum 0 in
     match (t.comps.(0), t.comps.(1)) with
     | Atom a0, Atom a1 ->
@@ -285,7 +223,7 @@ let sample_into_col t rng (buf : Numerics.Columns.ba) ~pos ~len =
       done
   end
   else begin
-    Numerics.Rng.fill_floats_col rng buf ~pos ~len;
+    Numerics.Rng.fill_floats rng buf ~pos ~len;
     let cum = Numerics.Columns.unsafe_data t.cum in
     if t.all_atoms then begin
       let atoms = Numerics.Columns.unsafe_data t.atoms in
@@ -315,7 +253,6 @@ let sample_into_col t rng (buf : Numerics.Columns.ba) ~pos ~len =
       done
   end
 
-let weights_col t = t.weights
 let cum_col t = t.cum
 
 let scale_weights t f =

@@ -57,28 +57,20 @@ val credible_interval : t -> level:float -> float * float
 val sample : t -> Numerics.Rng.t -> float
 
 (** [sample_into t rng buf ~pos ~len] — write [len] independent samples
-    into [buf.(pos) ..] using the batched kernels: atoms-only and
-    single-component mixtures are fully vectorised, mixed mixtures batch
-    the component selection and draw continuous slots scalar-wise.  The
-    draw scheme differs from repeated {!sample} (it is a faster stream,
-    not the same one) but is a pure function of (rng state, [t], [len]) —
-    the property the parallel Monte-Carlo determinism contract relies on. *)
-val sample_into : t -> Numerics.Rng.t -> floatarray -> pos:int -> len:int -> unit
-
-(** [sample_into_col t rng buf ~pos ~len] — as {!sample_into} but writing
-    through [Bigarray.Array1] column storage; draw-for-draw bit-identical
-    to {!sample_into} on the same generator state.  Component selection
-    binary-searches the mixture's cumulative-weight {e column}; an
-    all-atoms mixture resolves as a pure column-to-column gather. *)
-val sample_into_col :
+    into [buf.{pos} ..] of a column's storage ([Columns.unsafe_data])
+    using the batched kernels: atoms-only and single-component mixtures
+    are fully vectorised, mixed mixtures batch the component selection
+    (a binary search of the cumulative-weight column) and draw continuous
+    slots scalar-wise.  The draw scheme differs from repeated {!sample}
+    (it is a faster stream, not the same one) but is a pure function of
+    (rng state, [t], [len]) — the property the parallel Monte-Carlo
+    determinism contract relies on. *)
+val sample_into :
   t -> Numerics.Rng.t -> Numerics.Columns.ba -> pos:int -> len:int -> unit
 
-(** [weights_col t] / [cum_col t] — the parallel component-parameter
-    columns (normalised weights; cumulative weights with the last entry
-    pinned to 1).  Read-only aliases of the mixture's own storage: do not
-    mutate. *)
-val weights_col : t -> Numerics.Columns.t
-
+(** [cum_col t] — the cumulative component weights as a column (last
+    entry pinned to 1).  A read-only alias of the mixture's own storage:
+    do not mutate. *)
 val cum_col : t -> Numerics.Columns.t
 
 (** [support t] — smallest interval containing all mass. *)

@@ -1,9 +1,9 @@
 (** Public interface of the [elicit] library: elicited beliefs, opinion
-    pooling, Delphi-panel simulation and calibration scoring. *)
+    pooling (including Cooke-style calibration weights) and Delphi-panel
+    simulation. *)
 
 module Belief = Belief
 module Pool = Pool
 module Delphi = Delphi
 module Population = Population
-module Calibration = Calibration
 module Belief_format = Belief_format

@@ -140,11 +140,12 @@ let group_view ?pool ~chunks st =
   in
   num /. den
 
+(* Median of believer peaks by selection on a private copy (selection
+   reorders its input, and [lp] is the live state). *)
 let group_median st =
   let nd = st.nd in
-  let nb = Ba.dim st.lp - nd in
-  let peaks = Array.init nb (fun j -> Ba.unsafe_get st.lp (nd + j)) in
-  Numerics.Summary.quantile_unsorted peaks 0.5
+  let peaks = Ba.sub st.lp nd (Ba.dim st.lp - nd) in
+  Numerics.Select.quantile_in_place (Cols.copy (Cols.of_bigarray peaks)) 0.5
 
 let run ?pool ?chunks ?(compression = 200.0) config ~n =
   Delphi.check_config config;
@@ -185,12 +186,12 @@ let run ?pool ?chunks ?(compression = 200.0) config ~n =
   in
   let sigma_lo, sigma_hi = config.Delphi.sigma_range in
   (* Briefing: batched normal noise per chunk (bit-compatible with the
-     scalar draws by the fill_normals_col contract), then the
+     scalar draws by the fill_normals contract), then the
      profile-dependent transform per row. *)
   ignore
     (Par.map_chunks ?pool ~chunks (fun c ->
          let pos = st.offsets.(c) and len = st.sizes.(c) in
-         Numerics.Rng.fill_normals_col rngs.(c) st.lp ~pos ~len ~mu:0.0
+         Numerics.Rng.fill_normals rngs.(c) st.lp ~pos ~len ~mu:0.0
            ~sigma:config.Delphi.briefing_noise;
          for i = pos to pos + len - 1 do
            let noise = Ba.unsafe_get st.lp i in

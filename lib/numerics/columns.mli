@@ -66,11 +66,8 @@ val unsafe_data : t -> ba
     (amortised O(1)).  [Invalid_argument] on a fixed-capacity column. *)
 val push : t -> float -> unit
 
-(** [append_array t xs] / [append_floatarray t xs ~pos ~len] — bulk
-    [push]. *)
+(** [append_array t xs] — bulk [push]. *)
 val append_array : t -> float array -> unit
-
-val append_floatarray : t -> floatarray -> pos:int -> len:int -> unit
 
 (** [clear t] — set the length to 0 (storage is retained). *)
 val clear : t -> unit

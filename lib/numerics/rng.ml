@@ -191,7 +191,8 @@ let geometric t ~p =
    draw: each store allocates a fresh box and pays a write barrier, so a
    Monte-Carlo loop over [bits64] is GC-bound — and under several domains
    the resulting minor-collection rate forces constant stop-the-world
-   synchronisation.  The kernels below carry the four state words in local
+   synchronisation.  The kernels below write into [Bigarray.Array1]
+   column storage ({!Columns.ba}) and carry the four state words in local
    references for a whole batch (the native compiler unboxes non-escaping
    number refs, so the inner loops are allocation-free) and write the
    state back once at the end.
@@ -203,134 +204,12 @@ let geometric t ~p =
    loop below: hoisting it into a shared function over the refs would make
    the refs escape into a closure and re-box them. *)
 
-let check_fill name buf ~pos ~len =
-  if pos < 0 || len < 0 || len > Stdlib.Float.Array.length buf - pos then
-    invalid_arg name
-
-let fill_floats t buf ~pos ~len =
-  check_fill "Rng.fill_floats" buf ~pos ~len;
-  let s0 = ref t.s0 and s1 = ref t.s1 and s2 = ref t.s2 and s3 = ref t.s3 in
-  for i = pos to pos + len - 1 do
-    let result = Int64.add (rotl (Int64.add !s0 !s3) 23) !s0 in
-    let tmp = Int64.shift_left !s1 17 in
-    s2 := Int64.logxor !s2 !s0;
-    s3 := Int64.logxor !s3 !s1;
-    s1 := Int64.logxor !s1 !s2;
-    s0 := Int64.logxor !s0 !s3;
-    s2 := Int64.logxor !s2 tmp;
-    s3 := rotl !s3 45;
-    Stdlib.Float.Array.unsafe_set buf i
-      (Int64.to_float (Int64.shift_right_logical result 11) *. 0x1p-53)
-  done;
-  t.s0 <- !s0;
-  t.s1 <- !s1;
-  t.s2 <- !s2;
-  t.s3 <- !s3
-
-let fill_floats_pos t buf ~pos ~len =
-  check_fill "Rng.fill_floats_pos" buf ~pos ~len;
-  let s0 = ref t.s0 and s1 = ref t.s1 and s2 = ref t.s2 and s3 = ref t.s3 in
-  for i = pos to pos + len - 1 do
-    let u = ref 0.0 in
-    while !u <= 0.0 do
-      let result = Int64.add (rotl (Int64.add !s0 !s3) 23) !s0 in
-      let tmp = Int64.shift_left !s1 17 in
-      s2 := Int64.logxor !s2 !s0;
-      s3 := Int64.logxor !s3 !s1;
-      s1 := Int64.logxor !s1 !s2;
-      s0 := Int64.logxor !s0 !s3;
-      s2 := Int64.logxor !s2 tmp;
-      s3 := rotl !s3 45;
-      u := Int64.to_float (Int64.shift_right_logical result 11) *. 0x1p-53
-    done;
-    Stdlib.Float.Array.unsafe_set buf i !u
-  done;
-  t.s0 <- !s0;
-  t.s1 <- !s1;
-  t.s2 <- !s2;
-  t.s3 <- !s3
-
-let fill_uniforms t buf ~pos ~len ~a ~b =
-  fill_floats t buf ~pos ~len;
-  for i = pos to pos + len - 1 do
-    Stdlib.Float.Array.unsafe_set buf i
-      (a +. ((b -. a) *. Stdlib.Float.Array.unsafe_get buf i))
-  done
-
-let fill_exponentials t buf ~pos ~len ~rate =
-  if rate <= 0.0 then invalid_arg "Rng.fill_exponentials: rate <= 0";
-  fill_floats_pos t buf ~pos ~len;
-  for i = pos to pos + len - 1 do
-    Stdlib.Float.Array.unsafe_set buf i
-      (-.log (Stdlib.Float.Array.unsafe_get buf i) /. rate)
-  done
-
-let fill_normals t buf ~pos ~len ~mu ~sigma =
-  check_fill "Rng.fill_normals" buf ~pos ~len;
-  let s0 = ref t.s0 and s1 = ref t.s1 and s2 = ref t.s2 and s3 = ref t.s3 in
-  for i = pos to pos + len - 1 do
-    (* Polar Marsaglia with the same accept/reject sequence as the scalar
-       [normal] (the second deviate is discarded, as there). *)
-    let x = ref 0.0 in
-    let accepted = ref false in
-    while not !accepted do
-      let r1 = Int64.add (rotl (Int64.add !s0 !s3) 23) !s0 in
-      let tmp = Int64.shift_left !s1 17 in
-      s2 := Int64.logxor !s2 !s0;
-      s3 := Int64.logxor !s3 !s1;
-      s1 := Int64.logxor !s1 !s2;
-      s0 := Int64.logxor !s0 !s3;
-      s2 := Int64.logxor !s2 tmp;
-      s3 := rotl !s3 45;
-      let r2 = Int64.add (rotl (Int64.add !s0 !s3) 23) !s0 in
-      let tmp = Int64.shift_left !s1 17 in
-      s2 := Int64.logxor !s2 !s0;
-      s3 := Int64.logxor !s3 !s1;
-      s1 := Int64.logxor !s1 !s2;
-      s0 := Int64.logxor !s0 !s3;
-      s2 := Int64.logxor !s2 tmp;
-      s3 := rotl !s3 45;
-      let u =
-        (2.0 *. (Int64.to_float (Int64.shift_right_logical r1 11) *. 0x1p-53))
-        -. 1.0
-      in
-      let v =
-        (2.0 *. (Int64.to_float (Int64.shift_right_logical r2 11) *. 0x1p-53))
-        -. 1.0
-      in
-      let s = (u *. u) +. (v *. v) in
-      if s < 1.0 && s <> 0.0 then begin
-        accepted := true;
-        x := mu +. (sigma *. u *. sqrt (-2.0 *. log s /. s))
-      end
-    done;
-    Stdlib.Float.Array.unsafe_set buf i !x
-  done;
-  t.s0 <- !s0;
-  t.s1 <- !s1;
-  t.s2 <- !s2;
-  t.s3 <- !s3
-
-let fill_lognormals t buf ~pos ~len ~mu ~sigma =
-  fill_normals t buf ~pos ~len ~mu ~sigma;
-  for i = pos to pos + len - 1 do
-    Stdlib.Float.Array.unsafe_set buf i
-      (exp (Stdlib.Float.Array.unsafe_get buf i))
-  done
-
-(* Column variants: the same kernels writing through [Bigarray.Array1]
-   storage (the [Columns] backing representation).  Each is a line-for-line
-   mirror of its floatarray twin — the stepping, rejection sequences, and
-   float-op order are identical, so the bit-compatibility contract extends
-   across representations: [fill_xs_col] writes exactly what [fill_xs]
-   (and hence [len] scalar calls) would. *)
-
-let check_fill_col name (buf : Columns.ba) ~pos ~len =
+let check_fill name (buf : Columns.ba) ~pos ~len =
   if pos < 0 || len < 0 || len > Bigarray.Array1.dim buf - pos then
     invalid_arg name
 
-let fill_floats_col t (buf : Columns.ba) ~pos ~len =
-  check_fill_col "Rng.fill_floats_col" buf ~pos ~len;
+let fill_floats t (buf : Columns.ba) ~pos ~len =
+  check_fill "Rng.fill_floats" buf ~pos ~len;
   let s0 = ref t.s0 and s1 = ref t.s1 and s2 = ref t.s2 and s3 = ref t.s3 in
   for i = pos to pos + len - 1 do
     let result = Int64.add (rotl (Int64.add !s0 !s3) 23) !s0 in
@@ -349,8 +228,8 @@ let fill_floats_col t (buf : Columns.ba) ~pos ~len =
   t.s2 <- !s2;
   t.s3 <- !s3
 
-let fill_floats_pos_col t (buf : Columns.ba) ~pos ~len =
-  check_fill_col "Rng.fill_floats_pos_col" buf ~pos ~len;
+let fill_floats_pos t (buf : Columns.ba) ~pos ~len =
+  check_fill "Rng.fill_floats_pos" buf ~pos ~len;
   let s0 = ref t.s0 and s1 = ref t.s1 and s2 = ref t.s2 and s3 = ref t.s3 in
   for i = pos to pos + len - 1 do
     let u = ref 0.0 in
@@ -372,25 +251,27 @@ let fill_floats_pos_col t (buf : Columns.ba) ~pos ~len =
   t.s2 <- !s2;
   t.s3 <- !s3
 
-let fill_uniforms_col t (buf : Columns.ba) ~pos ~len ~a ~b =
-  fill_floats_col t buf ~pos ~len;
+let fill_uniforms t (buf : Columns.ba) ~pos ~len ~a ~b =
+  fill_floats t buf ~pos ~len;
   for i = pos to pos + len - 1 do
     Bigarray.Array1.unsafe_set buf i
       (a +. ((b -. a) *. Bigarray.Array1.unsafe_get buf i))
   done
 
-let fill_exponentials_col t (buf : Columns.ba) ~pos ~len ~rate =
-  if rate <= 0.0 then invalid_arg "Rng.fill_exponentials_col: rate <= 0";
-  fill_floats_pos_col t buf ~pos ~len;
+let fill_exponentials t (buf : Columns.ba) ~pos ~len ~rate =
+  if rate <= 0.0 then invalid_arg "Rng.fill_exponentials: rate <= 0";
+  fill_floats_pos t buf ~pos ~len;
   for i = pos to pos + len - 1 do
     Bigarray.Array1.unsafe_set buf i
       (-.log (Bigarray.Array1.unsafe_get buf i) /. rate)
   done
 
-let fill_normals_col t (buf : Columns.ba) ~pos ~len ~mu ~sigma =
-  check_fill_col "Rng.fill_normals_col" buf ~pos ~len;
+let fill_normals t (buf : Columns.ba) ~pos ~len ~mu ~sigma =
+  check_fill "Rng.fill_normals" buf ~pos ~len;
   let s0 = ref t.s0 and s1 = ref t.s1 and s2 = ref t.s2 and s3 = ref t.s3 in
   for i = pos to pos + len - 1 do
+    (* Polar Marsaglia with the same accept/reject sequence as the scalar
+       [normal] (the second deviate is discarded, as there). *)
     let x = ref 0.0 in
     let accepted = ref false in
     while not !accepted do
@@ -431,8 +312,8 @@ let fill_normals_col t (buf : Columns.ba) ~pos ~len ~mu ~sigma =
   t.s2 <- !s2;
   t.s3 <- !s3
 
-let fill_lognormals_col t (buf : Columns.ba) ~pos ~len ~mu ~sigma =
-  fill_normals_col t buf ~pos ~len ~mu ~sigma;
+let fill_lognormals t (buf : Columns.ba) ~pos ~len ~mu ~sigma =
+  fill_normals t buf ~pos ~len ~mu ~sigma;
   for i = pos to pos + len - 1 do
     Bigarray.Array1.unsafe_set buf i (exp (Bigarray.Array1.unsafe_get buf i))
   done

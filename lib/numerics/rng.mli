@@ -70,10 +70,12 @@ val geometric : t -> p:float -> int
 
 (** {1 Batched generation}
 
-    Batch kernels write [len] draws into [buf.(pos) .. buf.(pos+len-1)],
-    carrying the xoshiro256++ state in unboxed locals for the whole batch —
-    the inner loops are allocation-free, unlike the scalar API whose every
-    draw re-boxes the four [int64] state words.
+    Batch kernels write [len] draws into [buf.{pos} .. buf.{pos+len-1}] of
+    a float64 column's backing storage ({!Columns.ba}, obtained from
+    [Columns.unsafe_data]), carrying the xoshiro256++ state in unboxed
+    locals for the whole batch — the inner loops are allocation-free,
+    unlike the scalar API whose every draw re-boxes the four [int64]
+    state words.
 
     Bit-compatibility contract: [fill_xs t buf ~pos ~len] writes exactly
     the values [len] successive scalar [xs t] calls would return and
@@ -82,48 +84,28 @@ val geometric : t -> p:float -> int
     reproduced number. *)
 
 (** [fill_floats t buf ~pos ~len] — [len] draws of [float t]. *)
-val fill_floats : t -> floatarray -> pos:int -> len:int -> unit
+val fill_floats : t -> Columns.ba -> pos:int -> len:int -> unit
 
 (** [fill_floats_pos t buf ~pos ~len] — [len] draws of [float_pos t]. *)
-val fill_floats_pos : t -> floatarray -> pos:int -> len:int -> unit
+val fill_floats_pos : t -> Columns.ba -> pos:int -> len:int -> unit
 
 (** [fill_uniforms t buf ~pos ~len ~a ~b] — [len] draws of [uniform t a b]. *)
-val fill_uniforms : t -> floatarray -> pos:int -> len:int -> a:float -> b:float -> unit
+val fill_uniforms :
+  t -> Columns.ba -> pos:int -> len:int -> a:float -> b:float -> unit
 
 (** [fill_exponentials t buf ~pos ~len ~rate] — [len] draws of
     [exponential t ~rate]. *)
-val fill_exponentials : t -> floatarray -> pos:int -> len:int -> rate:float -> unit
+val fill_exponentials :
+  t -> Columns.ba -> pos:int -> len:int -> rate:float -> unit
 
 (** [fill_normals t buf ~pos ~len ~mu ~sigma] — [len] draws of
     [normal t ~mu ~sigma] (polar Marsaglia, same rejection sequence). *)
-val fill_normals : t -> floatarray -> pos:int -> len:int -> mu:float -> sigma:float -> unit
+val fill_normals :
+  t -> Columns.ba -> pos:int -> len:int -> mu:float -> sigma:float -> unit
 
 (** [fill_lognormals t buf ~pos ~len ~mu ~sigma] — [len] draws of
     [lognormal t ~mu ~sigma]. *)
-val fill_lognormals : t -> floatarray -> pos:int -> len:int -> mu:float -> sigma:float -> unit
-
-(** {2 Column kernels}
-
-    The same batch kernels writing through [Bigarray.Array1] float64
-    storage ({!Columns.ba}, obtained from [Columns.unsafe_data]).  Each is
-    a line-for-line mirror of its floatarray twin, so the
-    bit-compatibility contract extends across representations:
-    [fill_xs_col] writes exactly the bytes [fill_xs] — and hence [len]
-    scalar calls — would. *)
-
-val fill_floats_col : t -> Columns.ba -> pos:int -> len:int -> unit
-val fill_floats_pos_col : t -> Columns.ba -> pos:int -> len:int -> unit
-
-val fill_uniforms_col :
-  t -> Columns.ba -> pos:int -> len:int -> a:float -> b:float -> unit
-
-val fill_exponentials_col :
-  t -> Columns.ba -> pos:int -> len:int -> rate:float -> unit
-
-val fill_normals_col :
-  t -> Columns.ba -> pos:int -> len:int -> mu:float -> sigma:float -> unit
-
-val fill_lognormals_col :
+val fill_lognormals :
   t -> Columns.ba -> pos:int -> len:int -> mu:float -> sigma:float -> unit
 
 (** [shuffle t arr] — in-place Fisher-Yates. *)

@@ -166,13 +166,6 @@ let add t x =
   t.n_buf <- t.n_buf + 1;
   if t.n_buf = Array.length t.buf then flush t
 
-let add_floatarray t buf ~pos ~len =
-  if pos < 0 || len < 0 || len > Stdlib.Float.Array.length buf - pos then
-    invalid_arg "Sketch.add_floatarray";
-  for i = pos to pos + len - 1 do
-    add t (Stdlib.Float.Array.unsafe_get buf i)
-  done
-
 let add_column t col ~pos ~len =
   if pos < 0 || len < 0 || len > Columns.length col - pos then
     invalid_arg "Sketch.add_column";

@@ -33,10 +33,10 @@ val compression : t -> float
     a quantile summary has no meaningful place for it. *)
 val add : t -> float -> unit
 
-(** [add_floatarray t buf ~pos ~len] — observe
-    [buf.(pos) .. buf.(pos+len-1)] in order; equivalent to calling
-    {!add} per element (the batched Monte-Carlo hot path). *)
-val add_floatarray : t -> floatarray -> pos:int -> len:int -> unit
+(** [add_column t col ~pos ~len] — observe elements [pos .. pos+len-1]
+    of the column in order; equivalent to calling {!add} per element (the
+    batched Monte-Carlo hot path). *)
+val add_column : t -> Columns.t -> pos:int -> len:int -> unit
 
 (** [count t] — number of values observed. *)
 val count : t -> int
@@ -71,10 +71,6 @@ val merge : t -> t -> t
     (same merge and compression sequence).  [src] is not mutated beyond a
     buffer flush. *)
 val merge_into : into:t -> t -> unit
-
-(** [add_column t col ~pos ~len] — as {!add_floatarray} over a column
-    slice. *)
-val add_column : t -> Columns.t -> pos:int -> len:int -> unit
 
 (** [centroid_count t] — number of centroids currently held (compresses
     first); bounded by ≈ compression/2 interior centroids plus a handful

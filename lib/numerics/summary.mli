@@ -24,8 +24,8 @@ val quantile_sorted : float array -> float -> float
 (** [quantile_unsorted xs p] — as {!quantile} (bit-identical result,
     including NaN placement, up to the sign of interpolated zeros when the
     data mixes [-0.] and [0.] — see the ordering contract in {!Select})
-    but expected O(n) via Floyd–Rivest selection on a private copy instead
-    of a full sort. *)
+    but expected O(n) via Floyd–Rivest selection on a private column copy
+    instead of a full sort. *)
 val quantile_unsorted : float array -> float -> float
 
 (** [median xs]. *)
@@ -47,14 +47,10 @@ module Online : sig
   val create : unit -> t
   val add : t -> float -> unit
 
-  (** [add_floatarray t buf ~pos ~len] — observe
-      [buf.(pos) .. buf.(pos+len-1)] in order; bit-identical to calling
-      [add] per element, but the fold runs with the Welford state in
-      unboxed locals (the batched Monte-Carlo hot path). *)
-  val add_floatarray : t -> floatarray -> pos:int -> len:int -> unit
-
-  (** [add_column t col ~pos ~len] — as {!add_floatarray} over a column
-      slice; bit-identical to per-element [add] (same fold order). *)
+  (** [add_column t col ~pos ~len] — observe elements [pos .. pos+len-1]
+      of the column in order; bit-identical to calling [add] per element,
+      but the fold runs with the Welford state in unboxed locals (the
+      batched Monte-Carlo hot path). *)
   val add_column : t -> Columns.t -> pos:int -> len:int -> unit
 
   val count : t -> int

@@ -20,15 +20,13 @@ let check_conservative_bound ~n rng claim =
 (* Per-domain column scratch for the batched kernels below (see the note
    on [Mc.domain_scratch]: always fully written before being read, so
    caching is invisible to results and saves a major-heap allocation per
-   chunk).  The batched paths run entirely on unboxed columns: the
-   [_col] fill kernels are bit-compatible mirrors of the floatarray ones,
-   so the migration changed no reproduced number (the determinism
-   fingerprints and repro fragments pin this). *)
-let scratch_col_key =
+   chunk).  It is separate from [Mc]'s scratch because the fills below
+   run inside [Mc]'s batched loops, whose own scratch is live. *)
+let scratch_key =
   Domain.DLS.new_key (fun () -> ref (Numerics.Columns.create ~capacity:0 ()))
 
-let domain_scratch_col len =
-  let r = Domain.DLS.get scratch_col_key in
+let domain_scratch len =
+  let r = Domain.DLS.get scratch_key in
   if Numerics.Columns.capacity !r < len then
     r := Numerics.Columns.create ~capacity:len ();
   Numerics.Columns.set_length !r len;
@@ -41,11 +39,11 @@ let domain_scratch_col len =
    one uniform per sample, keeping the stream a pure function of the chunk
    state. *)
 let failure_probability_par ?pool ?chunks ~n ~seed belief =
-  Mc.estimate_par_batched_col ?pool ?chunks ~n ~seed (fun () ->
+  Mc.estimate_par_batched ?pool ?chunks ~n ~seed (fun () ->
       fun rng buf ~pos ~len ->
-        let u = Numerics.Columns.unsafe_data (domain_scratch_col len) in
-        Dist.Mixture.sample_into_col belief rng buf ~pos ~len;
-        Numerics.Rng.fill_floats_col rng u ~pos:0 ~len;
+        let u = Numerics.Columns.unsafe_data (domain_scratch len) in
+        Dist.Mixture.sample_into belief rng buf ~pos ~len;
+        Numerics.Rng.fill_floats rng u ~pos:0 ~len;
         for j = 0 to len - 1 do
           let pfd = clamp_pfd (Bigarray.Array1.unsafe_get buf (pos + j)) in
           Bigarray.Array1.unsafe_set buf (pos + j)
@@ -62,9 +60,9 @@ let check_conservative_bound_par ?pool ?chunks ~n ~seed claim =
    belief can be read in O(compression) memory however many samples are
    drawn.  Clamping to [0,1] mirrors every other consumer of pfd draws. *)
 let pfd_sketch_par ?pool ?compression ?chunks ~n ~seed belief =
-  Mc.sketch_par_col ?pool ?compression ?chunks ~n ~seed (fun () ->
+  Mc.sketch_par ?pool ?compression ?chunks ~n ~seed (fun () ->
       fun rng buf ~pos ~len ->
-        Dist.Mixture.sample_into_col belief rng buf ~pos ~len;
+        Dist.Mixture.sample_into belief rng buf ~pos ~len;
         for j = pos to pos + len - 1 do
           Bigarray.Array1.unsafe_set buf j
             (clamp_pfd (Bigarray.Array1.unsafe_get buf j))
@@ -223,12 +221,12 @@ let survival_curve_par ?pool ?chunks ~n_systems ~seed ~checkpoints belief =
       let seg = min size Mc.batch_size in
       (* Two disjoint halves of one scratch column: pfd draws in the first,
          first-failure uniforms in the second. *)
-      let scratch = Numerics.Columns.unsafe_data (domain_scratch_col (2 * seg)) in
+      let scratch = Numerics.Columns.unsafe_data (domain_scratch (2 * seg)) in
       let remaining = ref size in
       while !remaining > 0 do
         let len = min !remaining seg in
-        Dist.Mixture.sample_into_col belief rng scratch ~pos:0 ~len;
-        Numerics.Rng.fill_floats_pos_col rng scratch ~pos:seg ~len;
+        Dist.Mixture.sample_into belief rng scratch ~pos:0 ~len;
+        Numerics.Rng.fill_floats_pos rng scratch ~pos:seg ~len;
         for k = 0 to len - 1 do
           let pfd = clamp_pfd (Bigarray.Array1.unsafe_get scratch k) in
           let first =

@@ -78,27 +78,29 @@ let estimate_par ?pool ?chunks ~n ~seed f =
    stream change, exactly like changing the chunk count. *)
 let batch_size = 4096
 
-type batch_fill = Numerics.Rng.t -> floatarray -> pos:int -> len:int -> unit
+type batch_fill =
+  Numerics.Rng.t -> Numerics.Columns.ba -> pos:int -> len:int -> unit
 
-(* Per-domain scratch, reused across chunks and calls.  Every byte is
-   written by the fill before the Welford fold reads it, so caching the
-   buffer in domain-local storage cannot change any result; what it does
-   do is stop the hot path from churning the major heap (a 32 kB buffer
-   per chunk per call), which matters under parallelism because every
+(* Per-domain scratch column, reused across chunks and calls.  Every slot
+   is written by the fill before the fold reads it, so caching the column
+   in domain-local storage cannot change any result; what it does do is
+   stop the hot path from churning the major heap (a 32 kB buffer per
+   chunk per call), which matters under parallelism because every
    collection is a stop-the-world rendezvous of all domains. *)
 let scratch_key =
-  Domain.DLS.new_key (fun () -> ref (Stdlib.Float.Array.create 0))
+  Domain.DLS.new_key (fun () -> ref (Numerics.Columns.create ~capacity:0 ()))
 
 let domain_scratch len =
   let r = Domain.DLS.get scratch_key in
-  if Stdlib.Float.Array.length !r < len then
-    r := Stdlib.Float.Array.create len;
+  if Numerics.Columns.capacity !r < len then
+    r := Numerics.Columns.create ~capacity:len ();
+  Numerics.Columns.set_length !r len;
   !r
 
 let fill_of_scalar f : batch_fill =
  fun rng buf ~pos ~len ->
   for j = pos to pos + len - 1 do
-    Stdlib.Float.Array.set buf j (f rng)
+    Bigarray.Array1.set buf j (f rng)
   done
 
 let estimate_par_batched ?pool ?chunks ~n ~seed make_fill =
@@ -114,67 +116,10 @@ let estimate_par_batched ?pool ?chunks ~n ~seed make_fill =
       (* Instantiated per chunk, in the executing domain, so any scratch
          state the fill closes over is domain-local. *)
       let fill = make_fill () in
-      (* The cached buffer may be longer than requested; segment lengths
-         must come from [batch_size] alone so the stream never depends on
-         what earlier calls left in domain-local storage. *)
+      (* Segment lengths come from [batch_size] alone, so the stream never
+         depends on what earlier calls left in domain-local storage. *)
       let seg = min size batch_size in
-      let buf = domain_scratch seg in
-      let remaining = ref size in
-      while !remaining > 0 do
-        let len = min !remaining seg in
-        fill rng buf ~pos:0 ~len;
-        Numerics.Summary.Online.add_floatarray acc buf ~pos:0 ~len;
-        remaining := !remaining - len
-      done
-    end;
-    acc
-  in
-  let total =
-    Numerics.Parallel.parallel_for_reduce ?pool ~chunks
-      ~init:(Numerics.Summary.Online.create ())
-      ~body ~merge:Numerics.Summary.Online.merge
-  in
-  of_online total n
-
-(* Columnar twin of the batched path: per-domain scratch is a bigarray
-   column instead of a [floatarray], filled by a [batch_fill_col] and
-   folded with [Summary.Online.add_column].  The fill kernels' column
-   variants are bit-compatible mirrors, so for a fixed (seed, chunks) the
-   column path reproduces the floatarray path exactly — verified by the
-   cross-representation identity tests. *)
-
-type batch_fill_col =
-  Numerics.Rng.t -> Numerics.Columns.ba -> pos:int -> len:int -> unit
-
-let scratch_col_key =
-  Domain.DLS.new_key (fun () -> ref (Numerics.Columns.create ~capacity:0 ()))
-
-let domain_scratch_col len =
-  let r = Domain.DLS.get scratch_col_key in
-  if Numerics.Columns.capacity !r < len then
-    r := Numerics.Columns.create ~capacity:len ();
-  Numerics.Columns.set_length !r len;
-  !r
-
-let fill_col_of_scalar f : batch_fill_col =
- fun rng buf ~pos ~len ->
-  for j = pos to pos + len - 1 do
-    Bigarray.Array1.set buf j (f rng)
-  done
-
-let estimate_par_batched_col ?pool ?chunks ~n ~seed make_fill =
-  if n < 2 then invalid_arg "Mc.estimate_par_batched_col: n < 2";
-  let chunks = resolve_chunks ?pool ?chunks "Mc.estimate_par_batched_col" in
-  let sizes = Numerics.Parallel.chunk_sizes ~n ~chunks in
-  let streams = Numerics.Rng.split_n (Numerics.Rng.create seed) chunks in
-  let body i =
-    let size = sizes.(i) in
-    let acc = Numerics.Summary.Online.create () in
-    if size > 0 then begin
-      let rng = Numerics.Rng.copy streams.(i) in
-      let fill = make_fill () in
-      let seg = min size batch_size in
-      let col = domain_scratch_col seg in
+      let col = domain_scratch seg in
       let buf = Numerics.Columns.unsafe_data col in
       let remaining = ref size in
       while !remaining > 0 do
@@ -199,12 +144,14 @@ let probability_par ?pool ?chunks ~n ~seed event =
 
 (* Sketch fan-out: same stream discipline as [estimate_par_batched] — one
    stream per chunk, [batch_size] segments — but each chunk accumulates a
-   t-digest instead of a Welford state, and the digests merge in chunk
-   order.  [Sketch.merge] is deterministic (though only approximately
-   associative), and the fold order is fixed by [parallel_for_reduce], so
-   the resulting sketch — hence every quantile read from it — is a pure
-   function of (seed, chunks, n, compression): bit-identical at any
-   domain count. *)
+   t-digest instead of a Welford state, and the digests fold in chunk
+   order through the allocation-free [Sketch.merge_into] (which recycles
+   the accumulator's centroid and scratch columns and is bit-identical to
+   [Sketch.merge]).  The merge is deterministic (though only
+   approximately associative), and the fold order is fixed by
+   [parallel_for_reduce], so the resulting sketch — hence every quantile
+   read from it — is a pure function of (seed, chunks, n, compression):
+   bit-identical at any domain count. *)
 let sketch_par ?pool ?compression ?chunks ~n ~seed make_fill =
   if n < 1 then invalid_arg "Mc.sketch_par: n < 1";
   let chunks = resolve_chunks ?pool ?chunks "Mc.sketch_par" in
@@ -217,38 +164,7 @@ let sketch_par ?pool ?compression ?chunks ~n ~seed make_fill =
       let rng = Numerics.Rng.copy streams.(i) in
       let fill = make_fill () in
       let seg = min size batch_size in
-      let buf = domain_scratch seg in
-      let remaining = ref size in
-      while !remaining > 0 do
-        let len = min !remaining seg in
-        fill rng buf ~pos:0 ~len;
-        Numerics.Sketch.add_floatarray sk buf ~pos:0 ~len;
-        remaining := !remaining - len
-      done
-    end;
-    sk
-  in
-  Numerics.Parallel.parallel_for_reduce ?pool ~chunks
-    ~init:(Numerics.Sketch.create ?compression ())
-    ~body ~merge:Numerics.Sketch.merge
-
-(* Columnar sketch fan-out: same stream discipline as [sketch_par], with
-   column scratch and an allocation-free in-place merge fold
-   ([Sketch.merge_into] recycles the accumulator's centroid and scratch
-   columns; it is bit-identical to [Sketch.merge] by construction). *)
-let sketch_par_col ?pool ?compression ?chunks ~n ~seed make_fill =
-  if n < 1 then invalid_arg "Mc.sketch_par_col: n < 1";
-  let chunks = resolve_chunks ?pool ?chunks "Mc.sketch_par_col" in
-  let sizes = Numerics.Parallel.chunk_sizes ~n ~chunks in
-  let streams = Numerics.Rng.split_n (Numerics.Rng.create seed) chunks in
-  let body i =
-    let size = sizes.(i) in
-    let sk = Numerics.Sketch.create ?compression () in
-    if size > 0 then begin
-      let rng = Numerics.Rng.copy streams.(i) in
-      let fill = make_fill () in
-      let seg = min size batch_size in
-      let col = domain_scratch_col seg in
+      let col = domain_scratch seg in
       let buf = Numerics.Columns.unsafe_data col in
       let remaining = ref size in
       while !remaining > 0 do
@@ -372,7 +288,7 @@ let estimate_is_weighted ?pool ?chunks ~n ~seed ~proposal ~log_weight f =
     else begin
       let rng = Numerics.Rng.copy streams.(i) in
       let seg = min size batch_size in
-      let buf = domain_scratch seg in
+      let buf = Numerics.Columns.unsafe_data (domain_scratch seg) in
       let sw = ref 0.0 and sw2 = ref 0.0 and swf = ref 0.0 and sw2f = ref 0.0
       and swf_2 = ref 0.0 and wmax = ref 0.0 in
       let remaining = ref size in
@@ -380,7 +296,7 @@ let estimate_is_weighted ?pool ?chunks ~n ~seed ~proposal ~log_weight f =
         let len = min !remaining seg in
         Dist.sample_into proposal rng buf ~pos:0 ~len;
         for j = 0 to len - 1 do
-          let x = Stdlib.Float.Array.unsafe_get buf j in
+          let x = Bigarray.Array1.unsafe_get buf j in
           let w = exp (log_weight x) in
           if not (Float.is_finite w) || w < 0.0 then
             invalid_arg
@@ -472,19 +388,20 @@ let estimate_par_stratified ?pool ?chunks ~n ~seed f_of_u =
       let rng = Numerics.Rng.copy streams.(i) in
       let m = float_of_int size in
       let seg = min size batch_size in
-      let buf = domain_scratch seg in
+      let col = domain_scratch seg in
+      let buf = Numerics.Columns.unsafe_data col in
       let start = ref 0 in
       while !start < size do
         let len = min (size - !start) seg in
         Numerics.Rng.fill_floats rng buf ~pos:0 ~len;
         for k = 0 to len - 1 do
           let u =
-            (float_of_int (!start + k) +. Stdlib.Float.Array.unsafe_get buf k)
+            (float_of_int (!start + k) +. Bigarray.Array1.unsafe_get buf k)
             /. m
           in
-          Stdlib.Float.Array.unsafe_set buf k (f_of_u u)
+          Bigarray.Array1.unsafe_set buf k (f_of_u u)
         done;
-        Numerics.Summary.Online.add_floatarray acc buf ~pos:0 ~len;
+        Numerics.Summary.Online.add_column acc col ~pos:0 ~len;
         start := !start + len
       done
     end;
@@ -510,19 +427,20 @@ let estimate_par_antithetic ?pool ?chunks ~n ~seed f_of_u =
     if size > 0 then begin
       let rng = Numerics.Rng.copy streams.(i) in
       let seg = min size batch_size in
-      let buf = domain_scratch seg in
+      let col = domain_scratch seg in
+      let buf = Numerics.Columns.unsafe_data col in
       let remaining = ref size in
       while !remaining > 0 do
         let len = min !remaining seg in
         Numerics.Rng.fill_floats rng buf ~pos:0 ~len;
         for k = 0 to len - 1 do
-          let v = Stdlib.Float.Array.unsafe_get buf k in
+          let v = Bigarray.Array1.unsafe_get buf k in
           (* One observation per pair: the mean of the mirrored draws is
              itself i.i.d. across pairs, so the Welford CI stays honest. *)
-          Stdlib.Float.Array.unsafe_set buf k
+          Bigarray.Array1.unsafe_set buf k
             (0.5 *. (f_of_u v +. f_of_u (1.0 -. v)))
         done;
-        Numerics.Summary.Online.add_floatarray acc buf ~pos:0 ~len;
+        Numerics.Summary.Online.add_column acc col ~pos:0 ~len;
         remaining := !remaining - len
       done
     end;

@@ -44,9 +44,13 @@ val estimate_par :
 val batch_size : int
 
 (** A batched sampler: [fill rng buf ~pos ~len] writes [len] samples into
-    [buf.(pos) ..], advancing [rng].  Must be a pure function of the
-    generator state (and [len]) — no dependence on domain identity. *)
-type batch_fill = Numerics.Rng.t -> floatarray -> pos:int -> len:int -> unit
+    [buf.{pos} ..] of a scratch column's storage ([Columns.unsafe_data]),
+    advancing [rng].  Must be a pure function of the generator state (and
+    [len]) — no dependence on domain identity.  The [Rng.fill_*],
+    [Dist.sample_into] and [Mixture.sample_into] kernels all have this
+    shape. *)
+type batch_fill =
+  Numerics.Rng.t -> Numerics.Columns.ba -> pos:int -> len:int -> unit
 
 (** [fill_of_scalar f] — lift a scalar sampler into a {!batch_fill} that
     draws [f rng] once per slot, in slot order.  The lifted fill consumes
@@ -58,9 +62,9 @@ val fill_of_scalar : (Numerics.Rng.t -> float) -> batch_fill
 (** [estimate_par_batched ?pool ?chunks ~n ~seed make_fill] — the
     allocation-free fast path of [estimate_par].  Same fan-out (one stream
     per chunk, Welford merge in chunk order) but each chunk draws samples
-    [batch_size] at a time into a reusable [floatarray] scratch buffer via
-    the fill returned by [make_fill ()], and folds the buffer with
-    [Summary.Online.add_floatarray].
+    [batch_size] at a time into a reusable domain-local scratch column via
+    the fill returned by [make_fill ()], and folds the column with
+    [Summary.Online.add_column].
 
     [make_fill] is called once per chunk, inside the executing domain, so
     any scratch state the fill closes over is domain-local.  Determinism
@@ -76,33 +80,6 @@ val estimate_par_batched :
   (unit -> batch_fill) ->
   estimate
 
-(** A batched sampler writing through [Bigarray.Array1] column storage
-    ([Columns.unsafe_data] of a scratch column).  Same purity contract as
-    {!batch_fill}; the [Rng.fill_*_col] / [Dist.sample_into_col] /
-    [Mixture.sample_into_col] kernels are bit-compatible mirrors of their
-    floatarray twins, so a column fill built from them reproduces the
-    floatarray stream exactly. *)
-type batch_fill_col =
-  Numerics.Rng.t -> Numerics.Columns.ba -> pos:int -> len:int -> unit
-
-(** [fill_col_of_scalar f] — lift a scalar sampler into a
-    {!batch_fill_col} (one [f rng] per slot, in slot order). *)
-val fill_col_of_scalar : (Numerics.Rng.t -> float) -> batch_fill_col
-
-(** [estimate_par_batched_col ?pool ?chunks ~n ~seed make_fill] — the
-    columnar twin of [estimate_par_batched]: per-domain scratch is an
-    unboxed column, folded with [Summary.Online.add_column].  For a fixed
-    [(seed, chunks)] and a column fill mirroring the floatarray one, the
-    result is bit-identical to [estimate_par_batched] at any domain
-    count. *)
-val estimate_par_batched_col :
-  ?pool:Numerics.Parallel.pool ->
-  ?chunks:int ->
-  n:int ->
-  seed:int ->
-  (unit -> batch_fill_col) ->
-  estimate
-
 (** [probability_par ?pool ?chunks ~n ~seed event] — parallel [probability]
     under the same determinism contract as [estimate_par]. *)
 val probability_par :
@@ -114,16 +91,17 @@ val probability_par :
   estimate
 
 (** [sketch_par ?pool ?compression ?chunks ~n ~seed make_fill] — stream
-    [n] samples (same fan-out and segmentation as [estimate_par_batched])
-    into per-chunk {!Numerics.Sketch} digests and merge them in chunk
-    order.  Memory is O(chunks × compression) — independent of [n] — so
-    this is how to get quantiles of a Monte-Carlo output without
-    materialising the sample array.
+    [n] samples (same fan-out, segmentation and scratch as
+    [estimate_par_batched]) into per-chunk {!Numerics.Sketch} digests and
+    fold them in chunk order with the allocation-free [Sketch.merge_into].
+    Memory is O(chunks × compression) — independent of [n] — so this is
+    how to get quantiles of a Monte-Carlo output without materialising
+    the sample array.
 
-    Determinism contract: [Sketch.merge] is deterministic and the fold
-    order is fixed, so the returned sketch — and every quantile read from
-    it — is a pure function of [(seed, chunks, n, compression)]:
-    bit-identical at any domain count.  Note that the sketch itself is an
+    Determinism contract: the merge is deterministic and the fold order is
+    fixed, so the returned sketch — and every quantile read from it — is a
+    pure function of [(seed, chunks, n, compression)]: bit-identical at
+    any domain count.  Note that the sketch itself is an
     {e approximation}; accuracy bounds are documented in
     {!Numerics.Sketch}. *)
 val sketch_par :
@@ -133,21 +111,6 @@ val sketch_par :
   n:int ->
   seed:int ->
   (unit -> batch_fill) ->
-  Numerics.Sketch.t
-
-(** [sketch_par_col ?pool ?compression ?chunks ~n ~seed make_fill] — the
-    columnar twin of [sketch_par]: column scratch per domain, per-chunk
-    digests folded with the allocation-free [Sketch.merge_into] (which is
-    bit-identical to [Sketch.merge]).  Same determinism contract; with a
-    mirroring fill the resulting sketch state is bit-identical to
-    [sketch_par]'s. *)
-val sketch_par_col :
-  ?pool:Numerics.Parallel.pool ->
-  ?compression:float ->
-  ?chunks:int ->
-  n:int ->
-  seed:int ->
-  (unit -> batch_fill_col) ->
   Numerics.Sketch.t
 
 (** [quantiles_par ?pool ?compression ?chunks ~n ~seed ~ps make_fill] —

@@ -194,17 +194,34 @@ let test_exit_codes () =
   Alcotest.(check int) "infos never affect the exit" 0
     (D.exit_code ~strict:true info)
 
+let read_path path =
+  if Sys.file_exists path then path
+  else Filename.concat ".." path |> fun up ->
+    if Sys.file_exists up then up else path
+
 let read_file path =
-  let path =
-    if Sys.file_exists path then path
-    else Filename.concat ".." path |> fun up ->
-      if Sys.file_exists up then up else path
-  in
+  let path = read_path path in
   let ic = open_in path in
   let n = in_channel_length ic in
   let s = really_input_string ic n in
   close_in ic;
   s
+
+(* The CLI side of the contract: every subcommand that reads a case file
+   exits 2 on a malformed one, [propagate] and [case] included (cmdliner
+   would exit 124, its usage-error code). *)
+let test_cli_malformed_case_exits_2 () =
+  let exe = Filename.concat ".." (Filename.concat "bin" "confcase.exe") in
+  let file = read_path "examples/bad_shutdown.case" in
+  List.iter
+    (fun sub ->
+      let code =
+        Sys.command
+          (Filename.quote_command exe ~stdout:Filename.null
+             ~stderr:Filename.null [ sub; file ])
+      in
+      Alcotest.(check int) (sub ^ " exits 2") 2 code)
+    [ "check"; "propagate"; "case" ]
 
 let test_shipped_fixtures () =
   (* Good fixtures are --strict-clean (sis.belief's migration is an info). *)
@@ -383,6 +400,7 @@ let suite =
     case "every belief code has a golden trigger" test_belief_codes;
     case "band migration (0.651 sigma^2)" test_band_migration;
     case "exit-code contract" test_exit_codes;
+    case "CLI exits 2 on a malformed case" test_cli_malformed_case_exits_2;
     case "shipped fixtures" test_shipped_fixtures;
     case "C009 overlap fraction golden" test_c009_overlap_fraction;
     case "parse + check API" test_check_api;

@@ -70,6 +70,42 @@ let test_check_prob () =
   check_raises_invalid "p = 1" (fun () -> Dist.check_prob 1.0);
   Dist.check_prob 0.5
 
+let test_sample_into_replays_scalar () =
+  (* [sample_into] writes exactly what [len] scalar [sample] calls return
+     and leaves the generator where they would: the closed-form families
+     through the batched RNG kernels, everything else through the generic
+     loop. *)
+  let n = 300 in
+  let check (d : Dist.t) =
+    let col = Numerics.Columns.make (n + 2) nan in
+    let a = Numerics.Rng.create 515 and b = Numerics.Rng.create 515 in
+    Dist.sample_into d a (Numerics.Columns.unsafe_data col) ~pos:1 ~len:n;
+    for i = 0 to n - 1 do
+      let expected = d.sample b in
+      if
+        Int64.bits_of_float (Numerics.Columns.get col (i + 1))
+        <> Int64.bits_of_float expected
+      then Alcotest.failf "%s: draw %d diverged" d.name i
+    done;
+    check_true (d.name ^ ": same final state")
+      (Numerics.Rng.bits64 a = Numerics.Rng.bits64 b);
+    check_true (d.name ^ ": neighbours untouched")
+      (Float.is_nan (Numerics.Columns.get col 0)
+      && Float.is_nan (Numerics.Columns.get col (n + 1)))
+  in
+  List.iter check
+    [ Dist.Normal.make ~mu:1.0 ~sigma:2.0;
+      Dist.Lognormal.make ~mu:(-6.0) ~sigma:0.9;
+      Dist.Uniform_d.make ~lo:(-1.0) ~hi:3.0;
+      Dist.Exponential_d.make ~rate:2.5;
+      Dist.Gamma_d.make ~shape:0.7 ~rate:3.0 ];
+  check_raises_invalid "range check" (fun () ->
+      Dist.sample_into
+        (Dist.Gamma_d.make ~shape:2.0 ~rate:1.0)
+        (Numerics.Rng.create 1)
+        (Numerics.Columns.unsafe_data (Numerics.Columns.make 4 0.0))
+        ~pos:2 ~len:3)
+
 let suite =
   [ case "grid construction normalises" test_of_grid_pdf_normalises;
     case "grid construction reports evidence" test_of_grid_pdf_scaled;
@@ -77,4 +113,5 @@ let suite =
     case "grid reproduces closed forms" test_grid_matches_closed_form;
     case "expectation operator" test_expect;
     case "survival / interval / std helpers" test_survival_interval;
-    case "probability validation" test_check_prob ]
+    case "probability validation" test_check_prob;
+    case "sample_into replays scalar draws" test_sample_into_replays_scalar ]

@@ -18,7 +18,15 @@ let test_construction_validation () =
   check_raises_invalid "evidence confidence 0" (fun () ->
       ignore (N.evidence ~id:"e" ~statement:"s" ~confidence:0.0));
   check_raises_invalid "assumption p_valid 0" (fun () ->
-      ignore (N.assumption ~id:"a" ~statement:"s" ~p_valid:0.0))
+      ignore (N.assumption ~id:"a" ~statement:"s" ~p_valid:0.0));
+  (* An empty id would print as a node line the parser cannot read. *)
+  let e = N.evidence ~id:"e" ~statement:"s" ~confidence:0.5 in
+  check_raises_invalid "goal with empty id" (fun () ->
+      ignore (N.goal ~id:"" ~statement:"s" [ e ]));
+  check_raises_invalid "evidence with empty id" (fun () ->
+      ignore (N.evidence ~id:"" ~statement:"s" ~confidence:0.5));
+  check_raises_invalid "assumption with empty id" (fun () ->
+      ignore (N.assumption ~id:"" ~statement:"s" ~p_valid:0.5))
 
 let test_structure_queries () =
   let c = sample_case () in

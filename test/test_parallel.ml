@@ -114,7 +114,7 @@ let test_estimate_par_degenerate_chunking () =
   let ba = batched 1 and bb = batched 4 in
   check_true "batched: 1 domain = 4 domains" (estimates_equal ba bb);
   (* fill_floats is bit-compatible with scalar [Rng.float] and the
-     floatarray Welford fold with per-element add, so here the batched
+     column Welford fold with per-element add, so here the batched
      path reproduces the scalar stream exactly. *)
   check_true "batched = scalar stream" (estimates_equal a ba)
 

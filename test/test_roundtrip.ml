@@ -119,8 +119,35 @@ let test_belief_print_is_clean =
       let checked = Analysis.Check.belief (BF.print b) in
       checked.value <> None && D.errors checked.diagnostics = 0)
 
+(* A generated graph names only its root; every other node is anonymous.
+   Bridged to a tree and printed, it must parse back to a graph whose root
+   propagates to the same bits. *)
+let test_generated_graph_roundtrip () =
+  let module G = Casekit.Graph in
+  List.iter
+    (fun (legs, fanout, depth) ->
+      let g = Casekit.Generate.case ~legs ~fanout ~depth () in
+      let text = CF.print (G.to_node g) in
+      let g' =
+        match CF.parse text with
+        | node -> G.of_node node
+        | exception CF.Parse_error e ->
+          Alcotest.failf "printed case does not parse: line %d: %s" e.line
+            e.message
+      in
+      Alcotest.(check int) "same size" (G.size g) (G.size g');
+      List.iter
+        (fun dep ->
+          check_true "root propagates to the same bits"
+            (Int64.equal
+               (Int64.bits_of_float (G.propagate dep g))
+               (Int64.bits_of_float (G.propagate dep g'))))
+        [ G.Independent; G.Correlated 0.3; G.Frechet_lower; G.Frechet_upper ])
+    [ (2, 2, 2); (3, 4, 3) ]
+
 let suite =
-  [ test_case_roundtrip;
+  [ case "case_format: generated graph round-trips" test_generated_graph_roundtrip;
+    test_case_roundtrip;
     test_case_print_is_clean;
     test_belief_roundtrip;
     test_belief_print_is_clean ]

@@ -78,8 +78,9 @@ let in_place_is_partial_reorder () =
   let rng = rng_of_seed 13 in
   let xs = Array.init 300 (fun _ -> Numerics.Rng.float rng) in
   let before = sorted_copy xs in
-  let a = Array.copy xs in
-  let _ = Numerics.Select.nth_in_place a 150 in
+  let col = Numerics.Columns.of_array xs in
+  let _ = Numerics.Select.nth_in_place col 150 in
+  let a = Numerics.Columns.to_array col in
   let after = sorted_copy a in
   Array.iteri
     (fun i x -> check_close (Printf.sprintf "multiset slot %d" i) x after.(i))
@@ -101,7 +102,9 @@ let rejects_bad_args () =
   check_raises_invalid "p < 0" (fun () ->
       Numerics.Summary.quantile_unsorted [| 1.0; 2.0 |] (-0.1));
   check_raises_invalid "p > 1" (fun () ->
-      Numerics.Summary.quantile_unsorted [| 1.0; 2.0 |] 1.1)
+      Numerics.Summary.quantile_unsorted [| 1.0; 2.0 |] 1.1);
+  check_raises_invalid "empty column" (fun () ->
+      Numerics.Select.quantile_in_place (Numerics.Columns.create ()) 0.5)
 
 let qcheck_select_equals_sort =
   qcheck ~count:300 "select quantile = sorted quantile (bitwise)"
@@ -114,6 +117,23 @@ let qcheck_select_equals_sort =
       || same_slot
            (Numerics.Summary.quantile xs p)
            (Numerics.Summary.quantile_unsorted xs p))
+
+let qcheck_quantile_in_place_equals_sort =
+  qcheck ~count:300 "quantile_in_place on a column = sorted quantile"
+    QCheck2.Gen.(
+      pair
+        (array_size (int_range 1 400) (float_range (-50.0) 50.0))
+        (float_range 0.0 1.0))
+    (fun (xs, p) ->
+      Array.length xs = 0
+      ||
+      let col = Numerics.Columns.of_array xs in
+      let got = Numerics.Select.quantile_in_place col p in
+      (* Selection only reorders: the column keeps the same multiset. *)
+      let after = Numerics.Columns.to_array col in
+      Array.sort Float.compare after;
+      same_slot (Numerics.Summary.quantile xs p) got
+      && after = sorted_copy xs)
 
 let qcheck_nth_equals_sort =
   qcheck ~count:300 "nth k = sorted.(k) (bitwise, with duplicates)"
@@ -139,4 +159,5 @@ let suite =
       in_place_is_partial_reorder;
     case "argument validation" rejects_bad_args;
     qcheck_select_equals_sort;
+    qcheck_quantile_in_place_equals_sort;
     qcheck_nth_equals_sort ]

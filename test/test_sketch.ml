@@ -196,6 +196,28 @@ let qcheck_merge_chunk_order =
           = Int64.bits_of_float (Numerics.Sketch.quantile b p))
         [ 0.05; 0.5; 0.95 ])
 
+let add_column_replays_add () =
+  (* [add_column] over a column slice is per-element [add] in order: same
+     count, extremes and quantile bits, across segment boundaries. *)
+  let rng = rng_of_seed 211 in
+  let xs = Array.init 20_000 (fun _ -> Numerics.Rng.normal rng ~mu:0.0 ~sigma:1.0) in
+  let scalar = sketch_of xs in
+  let col = Numerics.Columns.of_array xs in
+  let batched = Numerics.Sketch.create () in
+  Numerics.Sketch.add_column batched col ~pos:0 ~len:7_000;
+  Numerics.Sketch.add_column batched col ~pos:7_000 ~len:0;
+  Numerics.Sketch.add_column batched col ~pos:7_000 ~len:13_000;
+  Alcotest.(check int) "count" (Numerics.Sketch.count scalar)
+    (Numerics.Sketch.count batched);
+  List.iter
+    (fun p ->
+      let bits sk = Int64.bits_of_float (Numerics.Sketch.quantile sk p) in
+      check_true (Printf.sprintf "quantile bits p=%g" p)
+        (bits scalar = bits batched))
+    [ 0.0; 0.01; 0.5; 0.99; 1.0 ];
+  check_raises_invalid "range check" (fun () ->
+      Numerics.Sketch.add_column batched col ~pos:19_999 ~len:2)
+
 let suite =
   [ case "small sketches are exact" exact_small;
     case "uniform quantile error" uniform_error;
@@ -206,5 +228,6 @@ let suite =
     case "merge over split data stays accurate" merge_accuracy;
     case "centroid count bounded" bounded_memory;
     case "argument validation" rejects_bad_input;
+    case "add_column replays per-element add" add_column_replays_add;
     qcheck_quantile_monotone;
     qcheck_merge_chunk_order ]

@@ -70,11 +70,11 @@ let acc_of arr =
   Array.iter (S.Online.add acc) arr;
   acc
 
-let test_add_floatarray () =
+let test_add_column () =
   let scalar = acc_of xs in
-  let buf = Stdlib.Float.Array.init (Array.length xs) (fun i -> xs.(i)) in
+  let buf = Numerics.Columns.of_array xs in
   let batched = S.Online.create () in
-  S.Online.add_floatarray batched buf ~pos:0 ~len:(Array.length xs);
+  S.Online.add_column batched buf ~pos:0 ~len:(Array.length xs);
   Alcotest.(check int) "count" (S.Online.count scalar) (S.Online.count batched);
   check_true "mean bitwise equal to per-element add"
     (S.Online.mean batched = S.Online.mean scalar);
@@ -82,14 +82,14 @@ let test_add_floatarray () =
     (S.Online.variance batched = S.Online.variance scalar);
   (* Segmentation (including an empty segment) must not change the fold. *)
   let seg = S.Online.create () in
-  S.Online.add_floatarray seg buf ~pos:0 ~len:3;
-  S.Online.add_floatarray seg buf ~pos:3 ~len:0;
-  S.Online.add_floatarray seg buf ~pos:3 ~len:5;
+  S.Online.add_column seg buf ~pos:0 ~len:3;
+  S.Online.add_column seg buf ~pos:3 ~len:0;
+  S.Online.add_column seg buf ~pos:3 ~len:5;
   check_true "segmented fold bitwise equal"
     (S.Online.mean seg = S.Online.mean scalar
     && S.Online.variance seg = S.Online.variance scalar);
   check_raises_invalid "range check" (fun () ->
-      S.Online.add_floatarray seg buf ~pos:6 ~len:5)
+      S.Online.add_column seg buf ~pos:6 ~len:5)
 
 let test_merge () =
   let whole = acc_of xs in
@@ -156,7 +156,7 @@ let suite =
     case "histogram" test_histogram;
     case "online accumulator" test_online_matches_batch;
     test_online_property;
-    case "batched fold matches per-element add" test_add_floatarray;
+    case "batched fold matches per-element add" test_add_column;
     case "online merge (Chan et al.)" test_merge;
     test_merge_split_property;
     test_merge_associative ]
