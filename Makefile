@@ -21,7 +21,9 @@ lint-src:
 # even under --strict, the deliberately-bad ones must exit 2, and the
 # --json report must parse in both cases (guards the hand-rolled
 # emitter).  `propagate` and `case` must also exit 2 on the malformed
-# case file, not cmdliner's usage-error code.
+# case file, not cmdliner's usage-error code, and report it as
+# path:line:col; `judge` and `stream` must do the same with a malformed
+# --belief-file.
 check-fixtures: build
 	dune exec bin/confcase.exe -- check \
 	  examples/shutdown.case examples/sis.belief --strict
@@ -39,6 +41,17 @@ check-fixtures: build
 	  code=$$?; test "$$code" -eq 2
 	dune exec bin/confcase.exe -- case examples/bad_shutdown.case; \
 	  code=$$?; test "$$code" -eq 2
+	for sub in propagate case; do \
+	  err=$$(dune exec bin/confcase.exe -- $$sub examples/bad_shutdown.case \
+	    2>&1 >/dev/null); code=$$?; test "$$code" -eq 2 && \
+	  printf '%s' "$$err" | grep -q 'bad_shutdown.case:11:14: ' || exit 1; \
+	done
+	for sub in judge stream; do \
+	  err=$$(dune exec bin/confcase.exe -- $$sub \
+	    --belief-file examples/bad_sis.belief 2>&1 >/dev/null); \
+	  code=$$?; test "$$code" -eq 2 && \
+	  printf '%s' "$$err" | grep -q 'bad_sis.belief:8:1: ' || exit 1; \
+	done
 
 # The semantic audit over the shipped fixtures: the good case must stay
 # clean under a reachable target even with --strict, the unattainable

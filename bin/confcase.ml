@@ -30,6 +30,10 @@ let input_error msg =
   Printf.eprintf "confcase: %s\n%!" msg;
   exit 2
 
+(* Where a malformed input file went wrong: [path:line:col: message]. *)
+let located path line col message =
+  Printf.sprintf "%s:%d:%d: %s" path line col message
+
 let positive_float ~what v =
   if v <= 0.0 then `Error (Printf.sprintf "%s must be positive" what)
   else `Ok v
@@ -138,7 +142,7 @@ let judge_cmd =
         | Some path, None, None, None ->
           (try Ok (`Belief (Elicit.Belief_format.parse_file path))
            with Elicit.Belief_format.Parse_error e ->
-             Error (Printf.sprintf "%s:%d: %s" path e.line e.message))
+             input_error (located path e.line e.col e.message))
         | None, Some s, None, None ->
           Ok (`Dist (Sil.Judgement.belief_of_mode_sigma family ~mode ~sigma:s))
         | None, None, Some b, Some c ->
@@ -459,8 +463,7 @@ let case_cmd =
     in
     match Casekit.Case_format.parse text with
     | exception Casekit.Case_format.Parse_error e ->
-      input_error (Printf.sprintf "%s:%d: %s" file e.line e.message)
-    | exception Invalid_argument msg -> input_error msg
+      input_error (located file e.line e.col e.message)
     | case ->
       print_string (Casekit.Node.render case);
       let dep =
@@ -587,13 +590,10 @@ let propagate_cmd =
           close_in ic;
           s
         in
-        match Casekit.Case_format.parse text with
+        match Casekit.Case_format.(load (scan text)) with
         | exception Casekit.Case_format.Parse_error e ->
-          Error (`Input (Printf.sprintf "%s:%d: %s" path e.line e.message))
-        | exception Invalid_argument msg -> Error (`Input msg)
-        | case -> (
-          try Ok (G.of_node case)
-          with Invalid_argument msg -> Error (`Input msg)))
+          Error (`Input (located path e.line e.col e.message))
+        | g, _ -> Ok g)
     in
     match (dep, graph) with
     | Error msg, _ | _, Error (`Usage msg) -> `Error (false, msg)
@@ -868,7 +868,7 @@ let audit_cmd =
       | Some path -> (
         match Elicit.Belief_format.parse_file path with
         | exception Elicit.Belief_format.Parse_error e ->
-          Error (Printf.sprintf "%s:%d: %s" path e.line e.message)
+          Error (located path e.line e.col e.message)
         | exception Sys_error msg -> Error msg
         | exception Invalid_argument msg -> Error msg
         | mixture ->
@@ -881,7 +881,8 @@ let audit_cmd =
           Ok (Some (fun _ -> (l, h))))
     in
     match (dep, leaf_bounds) with
-    | Error msg, _ | _, Error msg -> `Error (false, msg)
+    | Error msg, _ -> `Error (false, msg)
+    | _, Error msg -> input_error msg
     | Ok dependence, Ok leaf_bounds -> (
       let options =
         {
@@ -1324,7 +1325,10 @@ let stream_cmd =
         let prior_belief =
           match belief_file with
           | None -> None
-          | Some path -> Some (Elicit.Belief_format.parse_file path)
+          | Some path -> (
+            try Some (Elicit.Belief_format.parse_file path)
+            with Elicit.Belief_format.Parse_error e ->
+              input_error (located path e.line e.col e.message))
         in
         let fresh () =
           match (beta, gamma, prior_belief) with
@@ -1392,8 +1396,6 @@ let stream_cmd =
         `Ok ()
     with
     | Invalid_argument msg | Failure msg | Sys_error msg -> `Error (false, msg)
-    | Elicit.Belief_format.Parse_error e ->
-      `Error (false, Printf.sprintf "%d:%d: %s" e.line e.col e.message)
   in
   let info =
     cmd_info "stream"

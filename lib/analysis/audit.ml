@@ -297,31 +297,14 @@ let graph ?(options = default_options) ?(locate = fun _ -> None) g =
 
 let case ?file ?(options = default_options) text =
   check_options options;
-  let static = Case_rules.check text in
-  let static =
-    match file with Some f -> D.with_file f static | None -> static
-  in
-  match Casekit.Case_format.parse text with
-  | exception Casekit.Case_format.Parse_error _ -> static
-  | exception Invalid_argument _ -> static
-  | node ->
-    let g = G.of_node node in
-    (* Anchor graph nodes back to source positions through the interned
-       ids (the strict parser guarantees every node has one). *)
-    let table = Hashtbl.create 64 in
-    List.iter
-      (fun (rn : Casekit.Case_format.raw_node) ->
-        if not (Hashtbl.mem table rn.id) then
-          Hashtbl.add table rn.id (rn.line, rn.id_col))
-      (Casekit.Case_format.parse_raw text);
-    let locate i =
-      match G.id_of g i with "" -> None | id -> Hashtbl.find_opt table id
-    in
+  let with_file ds = match file with Some f -> D.with_file f ds | None -> ds in
+  (* One scan feeds both the lint and the loader. *)
+  let rows, static = Case_rules.scan text in
+  match Option.map (fun r -> (r, Casekit.Case_format.load r)) rows with
+  | None | (exception Casekit.Case_format.Parse_error _) -> with_file static
+  | Some (rows, (g, row_of)) ->
+    let locate i = Some (rows.line.(row_of.(i)), rows.id_col.(row_of.(i))) in
     (* Case_rules already linted the document with better positions; only
        the semantic passes are new information here. *)
     let options = { options with structural = false } in
-    let audit = graph ~options ~locate g in
-    let audit =
-      match file with Some f -> D.with_file f audit | None -> audit
-    in
-    D.sort (static @ audit)
+    D.sort (with_file (static @ graph ~options ~locate g))

@@ -89,7 +89,8 @@ val graph :
 
 (** [case ?file ?options text] — audit an authored case document: the
     {!Case_rules} lint (as [confcase check] would report it), plus — when
-    the strict parser accepts the document — the semantic graph passes
-    anchored back to source lines through the node ids.  Returns the
+    the strict loader accepts the document — the semantic graph passes
+    anchored back to source lines through the loader's row map.  The text
+    is scanned once; the lint and the loader share the rows.  Returns the
     combined, sorted diagnostic list. *)
 val case : ?file:string -> ?options:options -> string -> Diagnostic.t list

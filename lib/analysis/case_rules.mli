@@ -26,11 +26,12 @@ val max_fan_out : int
 (** [(code, severity, one-line description)] for every rule above. *)
 val codes : (string * Diagnostic.severity * string) list
 
-(** [check_raw nodes] — run every rule over a raw document, sorted by
-    position.  Never raises: the raw layer admits broken documents by
-    design. *)
-val check_raw : Casekit.Case_format.raw_node list -> Diagnostic.t list
+(** [scan text] — {!Casekit.Case_format.scan} and every rule above, as
+    array sweeps over the rows and their lenient parents: the rows (when
+    the document lexes) and the diagnostics, sorted by position.  A
+    lexical fault is a single [C000] and no rows; an empty document is
+    [C000] at line 0.  Never raises. *)
+val scan : string -> Casekit.Case_format.rows option * Diagnostic.t list
 
-(** [check text] — [parse_raw] + {!check_raw}; lexical faults become a
-    single [C000] diagnostic (and an empty document is [C000] at line 0). *)
+(** [check text] — the diagnostics of {!scan}. *)
 val check : string -> Diagnostic.t list

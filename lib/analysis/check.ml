@@ -29,23 +29,17 @@ let sniff text =
     Case
   | _ -> Belief
 
-let check_string ?file kind text =
-  let diags =
-    match kind with
-    | Case -> Case_rules.check text
-    | Belief -> Belief_rules.check text
-  in
+let with_file ?file diags =
   match file with Some f -> D.with_file f diags | None -> diags
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  text
+let check_string ?file kind text =
+  with_file ?file
+    (match kind with
+    | Case -> Case_rules.check text
+    | Belief -> Belief_rules.check text)
 
 let check_file path =
-  match read_file path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg ->
     [ D.make ~file:path ~code:"F000" ~severity:D.Error ~line:0 msg ]
   | text ->
@@ -57,14 +51,13 @@ let check_file path =
 type 'a checked = { value : 'a option; diagnostics : D.t list }
 
 let case ?file text =
-  let diagnostics = check_string ?file Case text in
+  let rows, diagnostics = Case_rules.scan text in
   let value =
-    match Casekit.Case_format.parse text with
-    | node -> Some node
-    | exception Casekit.Case_format.Parse_error _ -> None
-    | exception Invalid_argument _ -> None
+    match Option.map Casekit.Case_format.load rows with
+    | Some (g, _) -> Some (Casekit.Graph.to_node g)
+    | None | (exception Casekit.Case_format.Parse_error _) -> None
   in
-  { value; diagnostics }
+  { value; diagnostics = with_file ?file diagnostics }
 
 let belief ?file text =
   let diagnostics = check_string ?file Belief text in

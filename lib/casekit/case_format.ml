@@ -7,14 +7,154 @@ exception
 let fail ?(col = 1) ?(token = "") line message =
   raise (Parse_error { line; col; token; message })
 
-(* --- raw (lenient) layer --------------------------------------------------
+(* --- the row table: one left-to-right scan --------------------------------- *)
 
-   [parse_raw] tokenises the document into a flat list of position-annotated
-   lines without enforcing any structural or range invariant: out-of-range
-   confidences, duplicate ids, dangling assumptions and indentation faults
-   all survive into the raw form so the static analyser (lib/analysis) can
-   report them as diagnostics instead of dying on the first one.  Only
-   lexical faults — an unreadable token on a single line — raise. *)
+type row_kind = All_goal | Any_goal | Evidence | Assume
+
+type rows = {
+  n : int;
+  line : int array;
+  indent : int array;
+  kind : row_kind array;
+  id : string array;
+  statement : string array;
+  value : float array;
+  id_col : int array;
+  value_col : int array;
+  parent : int array;
+}
+
+(* Lexing helpers over [text.[i] .. text.[e - 1]]: top-level functions
+   rather than closures, so lexing a line allocates little beyond the
+   strings its row keeps. *)
+let is_blank c = c = ' ' || c = '\t' || c = '\r' || c = '\012' || c = '\n'
+
+let rec skip_spaces text i e =
+  if i < e && String.unsafe_get text i = ' ' then skip_spaces text (i + 1) e
+  else i
+
+let rec word_end text i e =
+  if i < e && String.unsafe_get text i <> ' ' then word_end text (i + 1) e
+  else i
+
+let number lno col token missing =
+  match float_of_string_opt token with
+  | Some v -> v
+  | None ->
+    fail ~col ~token lno
+      (if token = "" then missing else Printf.sprintf "%s, got %S" missing token)
+
+(* Lex line [lno], the bytes [s, e), into row [i] of [r]: false for a blank
+   or comment line.  Errors come in the order the tokens do. *)
+let scan_line text (r : rows) i lno s e =
+  let f = ref s in
+  while !f < e && is_blank (String.unsafe_get text !f) do incr f done;
+  !f < e
+  && String.unsafe_get text !f <> '#'
+  &&
+  let col j = j - s + 1 in
+  let i0 = skip_spaces text s e in
+  if (i0 - s) land 1 = 1 then
+    fail ~col:(col i0) lno "odd indentation (use 2 spaces)";
+  let i1 = word_end text i0 e in
+  let i2 = skip_spaces text i1 e in
+  let i3 = word_end text i2 e in
+  if i2 = i3 then fail ~col:(col i2) lno "missing node id";
+  let i4 = skip_spaces text i3 e in
+  if i4 >= e || text.[i4] <> '"' then
+    fail ~col:(col i4) ~token:(String.sub text i4 (word_end text i4 e - i4)) lno
+      "expected a quoted statement";
+  (* The closing quote; a backslash escapes a backslash, a quote or n. *)
+  let q = ref (i4 + 1) and escaped = ref false in
+  while !q < e && text.[!q] <> '"' do
+    if text.[!q] = '\\' && !q + 1 < e then begin
+      if not (String.contains "\\\"n" text.[!q + 1]) then begin
+        let token = String.sub text !q 2 in
+        fail ~col:(col !q) ~token lno
+          (Printf.sprintf "unknown escape %s in statement" token)
+      end;
+      escaped := true;
+      incr q
+    end;
+    incr q
+  done;
+  let q = !q in
+  if q >= e then
+    fail ~col:(col i4) ~token:(String.sub text i4 (e - i4)) lno
+      "unterminated statement quote";
+  (* The trailing token [a, b), trimmed as String.trim would. *)
+  let rest_col = col (skip_spaces text (q + 1) e) in
+  let a = ref (q + 1) and b = ref e in
+  while !a < !b && is_blank (String.unsafe_get text !a) do incr a done;
+  while !b > !a && is_blank (String.unsafe_get text (!b - 1)) do decr b done;
+  let a = !a and b = !b in
+  let value_col = if a = b then col i2 else rest_col in
+  let rest = String.sub text a (b - a) in
+  (match String.sub text i0 (i1 - i0) with
+  | "goal" ->
+    r.kind.(i) <-
+      (match rest with
+      | "all" | "" -> All_goal
+      | "any" -> Any_goal
+      | token ->
+        fail ~col:rest_col ~token lno
+          (Printf.sprintf "unknown combinator %S" token))
+  | "evidence" ->
+    r.kind.(i) <- Evidence;
+    r.value.(i) <- number lno value_col rest "evidence needs a confidence value"
+  | "assume" ->
+    r.kind.(i) <- Assume;
+    r.value.(i) <- number lno value_col rest "assume needs a validity probability"
+  | token ->
+    fail ~col:(col i0) ~token lno (Printf.sprintf "unknown node kind %S" token));
+  let statement = String.sub text (i4 + 1) (q - i4 - 1) in
+  r.line.(i) <- lno;
+  r.indent.(i) <- (i0 - s) / 2;
+  r.id.(i) <- String.sub text i2 (i3 - i2);
+  r.statement.(i) <- (if !escaped then Scanf.unescaped statement else statement);
+  r.id_col.(i) <- col i2;
+  r.value_col.(i) <- value_col;
+  true
+
+let scan text =
+  let len = String.length text in
+  let rec lines i k =
+    match String.index_from_opt text i '\n' with
+    | Some j -> lines (j + 1) (k + 1)
+    | None -> k
+  in
+  let cap = lines 0 1 in
+  let r =
+    { n = 0; line = Array.make cap 0; indent = Array.make cap 0;
+      kind = Array.make cap Evidence; id = Array.make cap "";
+      statement = Array.make cap ""; value = Array.make cap 0.0;
+      id_col = Array.make cap 0; value_col = Array.make cap 0;
+      parent = Array.make cap (-1) }
+  in
+  (* Lenient parents: an indent stack of non-assumption rows, from which
+     every row pops the entries at least as deep as itself. *)
+  let stack = Array.make cap 0 and depth = ref 0 in
+  let n = ref 0 and start = ref 0 and lno = ref 1 in
+  while !start <= len do
+    let stop = Option.value (String.index_from_opt text !start '\n') ~default:len in
+    let i = !n in
+    if scan_line text r i !lno !start stop then begin
+      while !depth > 0 && r.indent.(stack.(!depth - 1)) >= r.indent.(i) do
+        decr depth
+      done;
+      if !depth > 0 then r.parent.(i) <- stack.(!depth - 1);
+      if r.kind.(i) <> Assume then begin
+        stack.(!depth) <- i;
+        incr depth
+      end;
+      n := i + 1
+    end;
+    start := stop + 1;
+    incr lno
+  done;
+  { r with n = !n }
+
+(* --- the raw view ------------------------------------------------------------ *)
 
 type raw_item =
   | Raw_goal of { combinator : Node.combinator }
@@ -23,214 +163,156 @@ type raw_item =
 
 type raw_node = {
   line : int;
-  indent : int;  (* levels: two spaces each *)
+  indent : int;
   id : string;
-  id_col : int;  (* 1-based column of the id token *)
+  id_col : int;
   statement : string;
-  value_col : int;  (* column of the trailing value/combinator token *)
+  value_col : int;
   item : raw_item;
 }
 
-let indent_of line_no raw =
-  let rec count i =
-    if i < String.length raw && raw.[i] = ' ' then count (i + 1) else i
-  in
-  let spaces = count 0 in
-  if spaces mod 2 <> 0 then
-    fail ~col:(spaces + 1) line_no "odd indentation (use 2 spaces)";
-  spaces / 2
-
-(* Split "kind ID "quoted statement" trailing" into its parts, keeping the
-   1-based column of each. *)
-let split_parts line_no s =
-  let n = String.length s in
-  let rec skip_spaces i = if i < n && s.[i] = ' ' then skip_spaces (i + 1) else i in
-  let word_end i =
-    let rec go j = if j < n && s.[j] <> ' ' then go (j + 1) else j in
-    go i
-  in
-  let i0 = skip_spaces 0 in
-  let i1 = word_end i0 in
-  if i0 = i1 then fail ~col:(i0 + 1) line_no "empty line slipped through";
-  let kind = String.sub s i0 (i1 - i0) in
-  let i2 = skip_spaces i1 in
-  let i3 = word_end i2 in
-  if i2 = i3 then fail ~col:(i2 + 1) line_no "missing node id";
-  let id = String.sub s i2 (i3 - i2) in
-  let i4 = skip_spaces i3 in
-  if i4 >= n || s.[i4] <> '"' then
-    fail ~col:(i4 + 1)
-      ~token:(String.sub s i4 (word_end i4 - i4))
-      line_no "expected a quoted statement";
-  let rec find_close j =
-    if j >= n then
-      fail ~col:(i4 + 1) ~token:(String.sub s i4 (n - i4)) line_no
-        "unterminated statement quote"
-    else if s.[j] = '"' then j
-    else find_close (j + 1)
-  in
-  let close = find_close (i4 + 1) in
-  let statement = String.sub s (i4 + 1) (close - i4 - 1) in
-  let i5 = skip_spaces (close + 1) in
-  let rest = String.trim (String.sub s (close + 1) (n - close - 1)) in
-  ((kind, i0 + 1), (id, i2 + 1), statement, (rest, i5 + 1))
-
-let parse_line number raw =
-  let indent = indent_of number raw in
-  let (kind, kind_col), (id, id_col), statement, (rest, rest_col) =
-    split_parts number raw
-  in
-  let value_col = if rest = "" then id_col else rest_col in
-  let item =
-    match kind with
-    | "goal" ->
-      let combinator =
-        match rest with
-        | "all" | "" -> Node.All
-        | "any" -> Node.Any
-        | other ->
-          fail ~col:rest_col ~token:other number
-            (Printf.sprintf "unknown combinator %S" other)
-      in
-      Raw_goal { combinator }
-    | "evidence" ->
-      (match float_of_string_opt rest with
-      | Some confidence -> Raw_evidence { confidence }
-      | None ->
-        fail ~col:value_col ~token:rest number
-          (if rest = "" then "evidence needs a confidence value"
-           else
-             Printf.sprintf "evidence needs a confidence value, got %S" rest))
-    | "assume" ->
-      (match float_of_string_opt rest with
-      | Some p_valid -> Raw_assume { p_valid }
-      | None ->
-        fail ~col:value_col ~token:rest number
-          (if rest = "" then "assume needs a validity probability"
-           else
-             Printf.sprintf "assume needs a validity probability, got %S" rest))
-    | other ->
-      fail ~col:kind_col ~token:other number
-        (Printf.sprintf "unknown node kind %S" other)
-  in
-  { line = number; indent; id; id_col; statement; value_col; item }
-
 let parse_raw text =
-  String.split_on_char '\n' text
-  |> List.mapi (fun i raw -> (i + 1, raw))
-  |> List.filter (fun (_, raw) ->
-         let t = String.trim raw in
-         t <> "" && not (String.length t > 0 && t.[0] = '#'))
-  |> List.map (fun (number, raw) -> parse_line number raw)
+  let r = scan text in
+  let raw i =
+    let item =
+      match r.kind.(i) with
+      | All_goal -> Raw_goal { combinator = Node.All }
+      | Any_goal -> Raw_goal { combinator = Node.Any }
+      | Evidence -> Raw_evidence { confidence = r.value.(i) }
+      | Assume -> Raw_assume { p_valid = r.value.(i) }
+    in
+    { line = r.line.(i); indent = r.indent.(i); id = r.id.(i);
+      id_col = r.id_col.(i); statement = r.statement.(i);
+      value_col = r.value_col.(i); item }
+  in
+  (* Back to front: one list, where [List.init] builds two at this size. *)
+  let rec from i acc = if i < 0 then acc else from (i - 1) (raw i :: acc) in
+  from (r.n - 1) []
 
-(* --- building the tree ----------------------------------------------------
+(* --- the strict loader --------------------------------------------------------
 
-   [build] consumes lines deeper than [indent] as children of the current
-   goal; assumptions attach to the goal itself. *)
+   Rows go into [Graph.Builder] children first, siblings in source order:
+   the order [Graph.of_node] visits a tree in, so indices, values and
+   structural hashes match the tree path bit for bit.  Open goals sit on a
+   stack, the goal at depth [d] having indent [d]; a row closes every open
+   goal but the root at least as deep as itself. *)
 
-let rec build_children parent_indent nodes =
-  match nodes with
-  | [] -> ([], [], [])
-  | rn :: _ when rn.indent <= parent_indent -> ([], [], nodes)
-  | rn :: rest ->
-    if rn.indent > parent_indent + 1 then
-      fail ~col:(2 * rn.indent) rn.line "indentation jumps more than one level";
-    (match rn.item with
-    | Raw_assume { p_valid } ->
-      let assumption =
-        try Node.assumption ~id:rn.id ~statement:rn.statement ~p_valid
-        with Invalid_argument msg -> fail ~col:rn.value_col rn.line msg
-      in
-      let assumptions, children, remaining = build_children parent_indent rest in
-      (assumption :: assumptions, children, remaining)
-    | Raw_evidence { confidence } ->
-      let node =
-        try Node.evidence ~id:rn.id ~statement:rn.statement ~confidence
-        with Invalid_argument msg -> fail ~col:rn.value_col rn.line msg
-      in
-      let assumptions, children, remaining = build_children parent_indent rest in
-      (assumptions, node :: children, remaining)
-    | Raw_goal { combinator } ->
-      let assumptions_in, children_in, after_subtree =
-        build_children rn.indent rest
-      in
-      let node =
+let sweep ({ n; _ } as r) =
+  let b = Graph.Builder.create ~capacity:n () in
+  let builder i f =
+    try f () with Invalid_argument m -> fail ~col:r.id_col.(i) r.line.(i) m
+  in
+  (* [kids.(0 .. nkids - 1)]: the emitted children of the open goals. *)
+  let row_of = Array.make n 0 and kids = Array.make n 0 and nkids = ref 0 in
+  let emit i idx =
+    row_of.(idx) <- i;
+    kids.(!nkids) <- idx;
+    incr nkids
+  in
+  let slots = 1 + Array.fold_left max 0 r.indent in
+  let open_row = Array.make slots 0 and open_base = Array.make slots 0 in
+  let assumptions = Array.make slots [] and d = ref 0 in
+  let close () =
+    decr d;
+    let g = open_row.(!d) and base = open_base.(!d) in
+    if !nkids = base then
+      fail ~col:r.id_col.(g) r.line.(g) "Node.goal: a goal needs support";
+    let children = Array.sub kids base (!nkids - base) in
+    nkids := base;
+    emit g
+      (builder g (fun () ->
+           Graph.Builder.goal b ~id:r.id.(g) ~statement:r.statement.(g)
+             ~assumptions:(List.rev assumptions.(!d))
+             ~combinator:(if r.kind.(g) = Any_goal then Node.Any else Node.All)
+             children))
+  in
+  if r.kind.(0) = Evidence && n > 1 then
+    fail ~col:r.id_col.(1) r.line.(1) "content after evidence root";
+  for i = 0 to n - 1 do
+    let ind = r.indent.(i) in
+    while !d > 1 && !d > ind do close () done;
+    if i > 0 && ind = 0 then
+      fail ~col:r.id_col.(i) r.line.(i) "multiple root nodes";
+    if i > 0 && ind > !d then
+      fail ~col:(2 * ind) r.line.(i) "indentation jumps more than one level";
+    match r.kind.(i) with
+    | Assume when i = 0 ->
+      fail ~col:r.id_col.(0) ~token:r.id.(0) r.line.(0)
+        "an assumption cannot be the root"
+    | Assume ->
+      let a =
         try
-          Node.goal ~id:rn.id ~statement:rn.statement ~combinator
-            ~assumptions:assumptions_in children_in
-        with Invalid_argument msg -> fail ~col:rn.id_col rn.line msg
+          Node.assumption ~id:r.id.(i) ~statement:r.statement.(i)
+            ~p_valid:r.value.(i)
+        with Invalid_argument m -> fail ~col:r.value_col.(i) r.line.(i) m
       in
-      let assumptions, children, remaining =
-        build_children parent_indent after_subtree
-      in
-      (assumptions, node :: children, remaining))
+      assumptions.(!d - 1) <- a :: assumptions.(!d - 1)
+    | Evidence ->
+      if not (r.value.(i) > 0.0 && r.value.(i) <= 1.0) then
+        fail ~col:r.value_col.(i) r.line.(i)
+          "Node.evidence: confidence must be in (0,1]";
+      emit i
+        (builder i (fun () ->
+             Graph.Builder.evidence b ~id:r.id.(i) ~statement:r.statement.(i)
+               ~confidence:r.value.(i) ()))
+    | All_goal | Any_goal ->
+      open_row.(!d) <- i;
+      open_base.(!d) <- !nkids;
+      assumptions.(!d) <- [];
+      incr d
+  done;
+  while !d > 0 do close () done;
+  let g = Graph.Builder.build b ~root:kids.(0) in
+  (g, Array.sub row_of 0 (Graph.size g))
 
-(* Duplicate ids are rejected before the tree is built so the error can name
-   both offending lines (Node.validate would only see the finished tree). *)
-let check_duplicate_ids nodes =
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun rn ->
-      match Hashtbl.find_opt seen rn.id with
-      | Some first ->
-        fail ~col:rn.id_col ~token:rn.id rn.line
-          (Printf.sprintf "duplicate id %s (first declared at line %d)" rn.id
-             first)
-      | None -> Hashtbl.add seen rn.id rn.line)
-    nodes
+let load r =
+  if r.n = 0 then fail 0 "empty case";
+  if r.indent.(0) <> 0 then fail ~col:1 r.line.(0) "root must not be indented";
+  try sweep r
+  with Parse_error _ as e ->
+    (* Duplicate ids outrank every other fault, so the error names both
+       lines.  The Builder's interning stops the sweep at a duplicate;
+       this finds the first one. *)
+    let first = Hashtbl.create 64 in
+    for i = 0 to r.n - 1 do
+      match Hashtbl.find_opt first r.id.(i) with
+      | Some l ->
+        fail ~col:r.id_col.(i) ~token:r.id.(i) r.line.(i)
+          (Printf.sprintf "duplicate id %s (first declared at line %d)" r.id.(i) l)
+      | None -> Hashtbl.add first r.id.(i) r.line.(i)
+    done;
+    raise e
 
-let parse text =
-  let nodes = parse_raw text in
-  match nodes with
-  | [] -> fail 0 "empty case"
-  | root :: _ when root.indent <> 0 ->
-    fail ~col:1 root.line "root must not be indented"
-  | root :: rest ->
-    check_duplicate_ids nodes;
-    (match root.item with
-    | Raw_goal { combinator } ->
-      let assumptions, children, remaining = build_children 0 rest in
-      (match remaining with
-      | extra :: _ -> fail ~col:extra.id_col extra.line "multiple root nodes"
-      | [] ->
-        let node =
-          try
-            Node.goal ~id:root.id ~statement:root.statement ~combinator
-              ~assumptions children
-          with Invalid_argument msg -> fail ~col:root.id_col root.line msg
-        in
-        Node.validate node;
-        node)
-    | Raw_evidence { confidence } ->
-      if rest <> [] then
-        fail ~col:(List.hd rest).id_col (List.hd rest).line
-          "content after evidence root";
-      (try Node.evidence ~id:root.id ~statement:root.statement ~confidence
-       with Invalid_argument msg -> fail ~col:root.value_col root.line msg)
-    | Raw_assume _ ->
-      fail ~col:root.id_col ~token:root.id root.line
-        "an assumption cannot be the root")
+let parse text = Graph.to_node (fst (load (scan text)))
 
 (* --- printing --------------------------------------------------------------- *)
+
+(* The three escapes [scan_line] reads back. *)
+let escape s =
+  let buf = Buffer.create (String.length s) in
+  String.iter
+    (function
+      | ('\\' | '"') as c -> Buffer.add_char buf '\\'; Buffer.add_char buf c
+      | '\n' -> Buffer.add_string buf "\\n"
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
 
 let print node =
   let buf = Buffer.create 256 in
   let pad depth = String.make (2 * depth) ' ' in
   let rec go depth = function
     | Node.Evidence e ->
-      Buffer.add_string buf
-        (Printf.sprintf "%sevidence %s \"%s\" %.17g\n" (pad depth) e.id
-           e.statement e.confidence)
+      Printf.bprintf buf "%sevidence %s \"%s\" %.17g\n" (pad depth) e.id
+        (escape e.statement) e.confidence
     | Node.Goal g ->
       let comb = match g.combinator with Node.All -> "all" | Node.Any -> "any" in
-      Buffer.add_string buf
-        (Printf.sprintf "%sgoal %s \"%s\" %s\n" (pad depth) g.id g.statement comb);
+      Printf.bprintf buf "%sgoal %s \"%s\" %s\n" (pad depth) g.id
+        (escape g.statement) comb;
       List.iter
         (fun (a : Node.assumption) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%sassume %s \"%s\" %.17g\n"
-               (pad (depth + 1))
-               a.aid a.a_statement a.p_valid))
+          Printf.bprintf buf "%sassume %s \"%s\" %.17g\n" (pad (depth + 1)) a.aid
+            (escape a.a_statement) a.p_valid)
         g.assumptions;
       List.iter (go (depth + 1)) g.supported_by
   in

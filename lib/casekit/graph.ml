@@ -245,7 +245,9 @@ module Builder = struct
       bchild_off = Array.make (cap + 1) 0;
       bchild = Array.make (max cap 16) 0;
       bchild_len = 0;
-      bindex = Hashtbl.create 64;
+      (* Sized for a fully named graph: growing a million-entry table
+         rehashes every id at each doubling. *)
+      bindex = Hashtbl.create cap;
       baindex = Hashtbl.create 16;
     }
 
@@ -269,18 +271,13 @@ module Builder = struct
       b.bchild_off <- noff
     end
 
-  let intern b id i =
+  (* Node and assumption ids share one namespace; [table] is the one [id]
+     goes into. *)
+  let intern b table id i =
     if id <> "" then begin
       if Hashtbl.mem b.bindex id || Hashtbl.mem b.baindex id then
         invalid_arg (Printf.sprintf "Graph.Builder: duplicate id %s" id);
-      Hashtbl.add b.bindex id i
-    end
-
-  let intern_assumption b aid i =
-    if aid <> "" then begin
-      if Hashtbl.mem b.bindex aid || Hashtbl.mem b.baindex aid then
-        invalid_arg (Printf.sprintf "Graph.Builder: duplicate id %s" aid);
-      Hashtbl.add b.baindex aid i
+      Hashtbl.add table id i
     end
 
   let evidence b ?(id = "") ?(statement = "") ~confidence () =
@@ -288,7 +285,7 @@ module Builder = struct
       invalid_arg "Graph.Builder.evidence: confidence must be in (0,1]";
     grow_nodes b;
     let i = b.bn in
-    intern b id i;
+    intern b b.bindex id i;
     Bytes.set b.bkinds i tag_evidence;
     b.bids.(i) <- id;
     b.bstatements.(i) <- statement;
@@ -309,12 +306,12 @@ module Builder = struct
       kids;
     grow_nodes b;
     let i = b.bn in
-    intern b id i;
+    intern b b.bindex id i;
     List.iter
       (fun (a : Node.assumption) ->
         if not (a.p_valid > 0.0 && a.p_valid <= 1.0) then
           invalid_arg "Graph.Builder.goal: p_valid must be in (0,1]";
-        intern_assumption b a.aid i)
+        intern b b.baindex a.aid i)
       assumptions;
     Bytes.set b.bkinds i
       (match combinator with Node.All -> tag_all | Node.Any -> tag_any);
@@ -428,52 +425,21 @@ end
 
 (* --- bridges ---------------------------------------------------------------- *)
 
-type frame = {
-  fnode : Node.t;
-  mutable pending : Node.t list;
-  mutable acc : int list; (* child indices, reversed *)
-}
-
 let of_node root_node =
   let b = Builder.create ~capacity:(Node.size root_node) () in
-  (* Iterative postorder with an explicit frame stack: a 10^5-node chain
-     must not overflow the OCaml stack. *)
-  let stack = ref [] in
-  let result = ref (-1) in
-  let finish idx =
-    match !stack with [] -> result := idx | f :: _ -> f.acc <- idx :: f.acc
-  in
-  let start node =
-    match node with
+  (* Children first, left to right.  The recursion is as deep as the tree
+     is high, which OCaml 5's growable stacks take even on a 10^5-deep
+     chain. *)
+  let rec emit = function
     | Node.Evidence e ->
-      finish
-        (Builder.evidence b ~id:e.id ~statement:e.statement
-           ~confidence:e.confidence ())
+      Builder.evidence b ~id:e.id ~statement:e.statement
+        ~confidence:e.confidence ()
     | Node.Goal g ->
-      stack := { fnode = node; pending = g.supported_by; acc = [] } :: !stack
+      let kids = List.rev (List.rev_map emit g.supported_by) in
+      Builder.goal b ~id:g.id ~statement:g.statement ~assumptions:g.assumptions
+        ~combinator:g.combinator (Array.of_list kids)
   in
-  start root_node;
-  let running = ref (!stack <> []) in
-  while !running do
-    match !stack with
-    | [] -> running := false
-    | f :: rest -> (
-      match f.pending with
-      | c :: more ->
-        f.pending <- more;
-        start c
-      | [] -> (
-        stack := rest;
-        match f.fnode with
-        | Node.Goal g ->
-          finish
-            (Builder.goal b ~id:g.id ~statement:g.statement
-               ~assumptions:g.assumptions ~combinator:g.combinator
-               (Array.of_list (List.rev f.acc)));
-          if rest = [] then running := false
-        | Node.Evidence _ -> assert false))
-  done;
-  Builder.build b ~root:!result
+  Builder.build b ~root:(emit root_node)
 
 let is_tree t =
   let ok = ref true in
@@ -489,12 +455,12 @@ let to_node t =
   (* Anonymous (generated) nodes are named [#i], as the audit prints them,
      so the tree passes [Node]'s non-empty-id rule and prints to text its
      own parser reads back.  Should an authored node or assumption already
-     hold that name, primes are appended until it is free. *)
+     hold that name, primes are appended until it is free; only ids that
+     start with [#] can clash, so only those are noted. *)
   let taken = Hashtbl.create 64 in
-  Array.iter (fun id -> if id <> "" then Hashtbl.replace taken id ()) t.ids;
-  Array.iter
-    (List.iter (fun (a : Node.assumption) -> Hashtbl.replace taken a.aid ()))
-    t.assumption_lists;
+  let note id = if id <> "" && id.[0] = '#' then Hashtbl.replace taken id () in
+  Array.iter note t.ids;
+  Array.iter (List.iter (fun (a : Node.assumption) -> note a.aid)) t.assumption_lists;
   let name i =
     match t.ids.(i) with
     | "" ->
@@ -1079,7 +1045,6 @@ let parents t i =
 let parent_count t i = t.parent_off.(i + 1) - t.parent_off.(i)
 
 let values t = t.value
-let assumption_validity t i = Columns.get t.avalid i
 
 let evidence_indices t =
   let count = ref 0 in

@@ -90,8 +90,8 @@ module Builder : sig
   val build : b -> root:int -> t
 end
 
-(** [of_node t] — bridge a boxed case tree into a graph (iterative: safe
-    on 10^5-deep chains).  Node and assumption ids are interned; duplicate
+(** [of_node t] — bridge a boxed case tree into a graph (safe on
+    10^5-deep chains).  Node and assumption ids are interned; duplicate
     ids raise [Invalid_argument] as {!Node.validate} would. *)
 val of_node : Node.t -> t
 
@@ -269,10 +269,6 @@ val parent_count : t -> int -> int
     values to {!compute_excluding} without copying a million-entry
     column. *)
 val values : t -> Numerics.Columns.t
-
-(** [assumption_validity t i] — the assumption-validity product applied
-    at node [i] (1 for evidence and assumption-free goals). *)
-val assumption_validity : t -> int -> float
 
 (** [evidence_indices t] — all evidence nodes, ascending. *)
 val evidence_indices : t -> int array

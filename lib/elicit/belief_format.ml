@@ -172,12 +172,7 @@ let parse text =
   | m -> m
   | exception Invalid_argument msg -> fail first_line msg
 
-let parse_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  parse text
+let parse_file path = parse (In_channel.with_open_bin path In_channel.input_all)
 
 let print belief =
   let render_cont (d : Dist.t) =

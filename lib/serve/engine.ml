@@ -438,15 +438,12 @@ let run t req =
   | Bad msg -> Error msg
   | Load { case; path } ->
     let text = read_file path in
-    let node =
-      match Casekit.Case_format.parse text with
+    let g =
+      match Casekit.Case_format.(load (scan text)) with
       | exception Casekit.Case_format.Parse_error e ->
-        raise
-          (Err
-             (Printf.sprintf "%s:%d:%d: %s" path e.line e.col e.message))
-      | n -> n
+        raise (Err (Printf.sprintf "%s:%d:%d: %s" path e.line e.col e.message))
+      | g, _ -> g
     in
-    let g = G.of_node node in
     Hashtbl.replace t.cases case g;
     Ok
       ( "load",

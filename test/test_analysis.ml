@@ -223,6 +223,30 @@ let test_cli_malformed_case_exits_2 () =
       Alcotest.(check int) (sub ^ " exits 2") 2 code)
     [ "check"; "propagate"; "case" ]
 
+(* One input-error contract: a malformed case or belief file is reported
+   as [path:line:col: message] on stderr and exits 2, whichever subcommand
+   read it. *)
+let test_cli_input_errors () =
+  let exe = Filename.concat ".." (Filename.concat "bin" "confcase.exe") in
+  let case = read_path "examples/bad_shutdown.case" in
+  let belief = read_path "examples/bad_sis.belief" in
+  let err = Filename.temp_file "confcase" ".err" in
+  List.iter
+    (fun (args, where) ->
+      let code =
+        Sys.command
+          (Filename.quote_command exe ~stdout:Filename.null ~stderr:err args)
+      in
+      let what = String.concat " " args in
+      Alcotest.(check int) (what ^ " exits 2") 2 code;
+      check_true (what ^ " reports " ^ where)
+        (Helpers.contains_substring (read_file err) where))
+    [ ([ "propagate"; case ], case ^ ":11:14: duplicate id E1");
+      ([ "case"; case ], case ^ ":11:14: duplicate id E1");
+      ([ "judge"; "--belief-file"; belief ], belief ^ ":8:1: ");
+      ([ "stream"; "--belief-file"; belief; "--events"; "1" ], belief ^ ":8:1: ") ];
+  Sys.remove err
+
 let test_shipped_fixtures () =
   (* Good fixtures are --strict-clean (sis.belief's migration is an info). *)
   let good_case = Check.case (read_file "examples/shutdown.case") in
@@ -401,6 +425,7 @@ let suite =
     case "band migration (0.651 sigma^2)" test_band_migration;
     case "exit-code contract" test_exit_codes;
     case "CLI exits 2 on a malformed case" test_cli_malformed_case_exits_2;
+    case "CLI input errors are path:line:col, exit 2" test_cli_input_errors;
     case "shipped fixtures" test_shipped_fixtures;
     case "C009 overlap fraction golden" test_c009_overlap_fraction;
     case "parse + check API" test_check_api;

@@ -21,10 +21,14 @@ let gen_case_tree =
     Printf.sprintf "%s%d" prefix !counter
   in
   let conf = map (fun u -> 0.01 +. (0.98 *. u)) (float_bound_inclusive 1.0) in
+  (* Statements carry the bytes the printer must escape: backslash,
+     double quote and newline. *)
   let statement =
-    map
-      (fun i -> Printf.sprintf "statement %d with spaces" i)
+    map2
+      (fun i tail -> Printf.sprintf "statement %d %s" i tail)
       (int_range 0 1000)
+      (string_size ~gen:(oneofl [ 'a'; ' '; '\\'; '"'; '\n'; '\t'; '#' ])
+         (int_range 0 6))
   in
   let leaf =
     map2
@@ -40,14 +44,15 @@ let gen_case_tree =
             let* comb = oneofl [ N.All; N.Any ] in
             let* children = list_size (int_range 1 3) (tree (depth - 1)) in
             let* n_assumptions = int_range 0 2 in
-            let* ps = list_size (pure n_assumptions) conf in
+            let* ps = list_size (pure n_assumptions) (pair conf statement) in
+            let* s = statement in
             let assumptions =
               List.map
-                (fun p -> N.assumption ~id:(fresh "A") ~statement:"as" ~p_valid:p)
+                (fun (p, s) -> N.assumption ~id:(fresh "A") ~statement:s ~p_valid:p)
                 ps
             in
             pure
-              (N.goal ~id:(fresh "G") ~statement:"goal" ~combinator:comb
+              (N.goal ~id:(fresh "G") ~statement:s ~combinator:comb
                  ~assumptions children) ) ]
   in
   tree 4
