@@ -34,6 +34,13 @@ let input_error msg =
 let located path line col message =
   Printf.sprintf "%s:%d:%d: %s" path line col message
 
+(* An input file, or [confcase: path: reason] and exit 2 when it cannot
+   be read. *)
+let read_input path =
+  match Analysis.Check.read_file path with
+  | Ok text -> text
+  | Error msg -> input_error msg
+
 let positive_float ~what v =
   if v <= 0.0 then `Error (Printf.sprintf "%s must be positive" what)
   else `Ok v
@@ -126,7 +133,7 @@ let judge_cmd =
   let belief_file_arg =
     Arg.(
       value
-      & opt (some file) None
+      & opt (some string) None
       & info [ "belief-file" ] ~docv:"FILE"
           ~doc:"Read the belief from a belief file instead of fitting one")
   in
@@ -140,7 +147,7 @@ let judge_cmd =
       let judgement =
         match (belief_file, sigma, bound, confidence) with
         | Some path, None, None, None ->
-          (try Ok (`Belief (Elicit.Belief_format.parse_file path))
+          (try Ok (`Belief (Elicit.Belief_format.parse (read_input path)))
            with Elicit.Belief_format.Parse_error e ->
              input_error (located path e.line e.col e.message))
         | None, Some s, None, None ->
@@ -437,7 +444,7 @@ let case_cmd =
   let file_arg =
     Arg.(
       required
-      & pos 0 (some file) None
+      & pos 0 (some string) None
       & info [] ~docv:"FILE" ~doc:"Case file (see casekit's Case_format)")
   in
   let rho_arg =
@@ -454,41 +461,38 @@ let case_cmd =
           ~doc:"Rank evidence and assumptions by influence on the root")
   in
   let run file rho show_sens =
-    let text =
-      let ic = open_in file in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
-    match Casekit.Case_format.parse text with
-    | exception Casekit.Case_format.Parse_error e ->
-      input_error (located file e.line e.col e.message)
-    | case ->
-      print_string (Casekit.Node.render case);
-      let dep =
-        match rho with
-        | None -> Casekit.Propagate.Independent
-        | Some r -> Casekit.Propagate.Correlated r
-      in
-      Printf.printf "\nRoot confidence: %.5f\n"
-        (Casekit.Propagate.confidence dep case);
-      let lo, hi = Casekit.Propagate.bounds case in
-      Printf.printf "Under any dependence: [%.5f, %.5f]\n" lo hi;
-      if show_sens then begin
-        print_endline "\nEvidence sensitivities (d root / d leaf):";
-        Casekit.Propagate.leaf_sensitivities dep case
-        |> List.sort (fun (_, a) (_, b) -> compare b a)
-        |> List.iter (fun (id, s) -> Printf.printf "  %-12s %.4f\n" id s);
-        let assumptions = Casekit.Propagate.assumption_sensitivities dep case in
-        if assumptions <> [] then begin
-          print_endline "Assumption sensitivities:";
-          List.iter
-            (fun (id, s) -> Printf.printf "  %-12s %.4f\n" id s)
-            (List.sort (fun (_, a) (_, b) -> compare b a) assumptions)
-        end
-      end;
-      `Ok ()
+    let module G = Casekit.Graph in
+    match rho with
+    | Some r when not (r >= 0.0 && r <= 1.0) ->
+      `Error
+        (false, Printf.sprintf "--dependence: rho must be in [0,1], got %g" r)
+    | _ -> (
+      match Casekit.Case_format.(load (scan (read_input file))) with
+      | exception Casekit.Case_format.Parse_error e ->
+        input_error (located file e.line e.col e.message)
+      | g, _ ->
+        print_string (Casekit.Node.render (G.to_node g));
+        let dep =
+          match rho with None -> G.Independent | Some r -> G.Correlated r
+        in
+        Printf.printf "\nRoot confidence: %.5f\n" (G.propagate dep g);
+        let lo = G.propagate G.Frechet_lower g in
+        let hi = G.propagate G.Frechet_upper g in
+        Printf.printf "Under any dependence: [%.5f, %.5f]\n" lo hi;
+        if show_sens then begin
+          let print_ranked sens =
+            List.sort (fun (_, a) (_, b) -> compare b a) sens
+            |> List.iter (fun (id, s) -> Printf.printf "  %-12s %.4f\n" id s)
+          in
+          print_endline "\nEvidence sensitivities (d root / d leaf):";
+          print_ranked (G.leaf_sensitivities dep g);
+          let assumptions = G.assumption_sensitivities dep g in
+          if assumptions <> [] then begin
+            print_endline "Assumption sensitivities:";
+            print_ranked assumptions
+          end
+        end;
+        `Ok ())
   in
   let info =
     cmd_info "case" ~doc:"Evaluate a dependability-case file" ()
@@ -501,7 +505,7 @@ let propagate_cmd =
   let file_arg =
     Arg.(
       value
-      & pos 0 (some file) None
+      & pos 0 (some string) None
       & info [] ~docv:"FILE"
           ~doc:"Case file to propagate (omit with $(b,--generate))")
   in
@@ -583,14 +587,7 @@ let propagate_cmd =
         try Ok (Casekit.Generate.case ~seed ~legs ~fanout ~depth ~shared ())
         with Invalid_argument msg -> Error (`Usage msg))
       | Some path, false -> (
-        let text =
-          let ic = open_in path in
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic;
-          s
-        in
-        match Casekit.Case_format.(load (scan text)) with
+        match Casekit.Case_format.(load (scan (read_input path))) with
         | exception Casekit.Case_format.Parse_error e ->
           Error (`Input (located path e.line e.col e.message))
         | g, _ -> Ok g)
@@ -659,9 +656,9 @@ let propagate_cmd =
       ~man:
         [ `S Manpage.s_description;
           `P
-            "Bridges the case into the flat CSR graph representation and \
-             runs the one-pass propagation kernel (bit-identical to the \
-             tree evaluator on trees).  With $(b,--generate) a synthetic \
+            "Loads the case into the flat CSR graph representation and \
+             runs the one-pass propagation kernel, the same evaluator \
+             $(b,case) uses.  With $(b,--generate) a synthetic \
              case is built instead — $(b,--legs) 9 $(b,--fanout) 10 \
              $(b,--depth) 5 is exactly one million nodes.  $(b,--shared) \
              makes legs reuse first-leg evidence: the case becomes a DAG \
@@ -768,7 +765,7 @@ let check_cmd =
 let audit_cmd =
   let files_arg =
     Arg.(
-      value & pos_all file []
+      value & pos_all string []
       & info [] ~docv:"FILE"
           ~doc:"Case files to audit (omit with $(b,--generate))")
   in
@@ -821,7 +818,7 @@ let audit_cmd =
   let belief_arg =
     Arg.(
       value
-      & opt (some file) None
+      & opt (some string) None
       & info [ "belief" ] ~docv:"FILE"
           ~doc:"Belief file whose 95% credible interval bounds every leaf's \
                 attainable confidence (default: the vacuous bounds [0,1])")
@@ -866,10 +863,9 @@ let audit_cmd =
       match belief with
       | None -> Ok None
       | Some path -> (
-        match Elicit.Belief_format.parse_file path with
+        match Elicit.Belief_format.parse (read_input path) with
         | exception Elicit.Belief_format.Parse_error e ->
           Error (located path e.line e.col e.message)
-        | exception Sys_error msg -> Error msg
         | exception Invalid_argument msg -> Error msg
         | mixture ->
           (* A belief file is a distribution over confidence: its central
@@ -935,22 +931,15 @@ let audit_cmd =
           end;
           print_report [ ("<generated>", D.with_file "<generated>" diags) ])
       | paths, false ->
-        let read path =
-          let ic = open_in path in
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic;
-          s
-        in
         let reports =
           List.map
             (fun path ->
-              match read path with
-              | exception Sys_error msg ->
+              match Analysis.Check.read_file path with
+              | Error msg ->
                 ( path,
                   [ D.make ~file:path ~code:"F000" ~severity:D.Error ~line:0
                       msg ] )
-              | text ->
+              | Ok text ->
                 (path, Analysis.Audit.case ~file:path ~options text))
             paths
         in
@@ -1326,7 +1315,7 @@ let stream_cmd =
           match belief_file with
           | None -> None
           | Some path -> (
-            try Some (Elicit.Belief_format.parse_file path)
+            try Some (Elicit.Belief_format.parse (read_input path))
             with Elicit.Belief_format.Parse_error e ->
               input_error (located path e.line e.col e.message))
         in

@@ -38,21 +38,24 @@ let () =
     (Casekit.Node.size case) (Casekit.Node.depth case)
     (List.length (Casekit.Node.leaves case));
 
-  (* Propagation under different joint-behaviour assumptions. *)
+  (* Propagation under different joint-behaviour assumptions, on the
+     flat evaluation graph. *)
+  let module G = Casekit.Graph in
+  let confidence dep node = G.propagate dep (G.of_node node) in
   let show name dep =
-    Printf.printf "  %-28s %.5f\n" name
-      (Casekit.Propagate.confidence dep case)
+    Printf.printf "  %-28s %.5f\n" name (confidence dep case)
   in
   print_endline "Root-claim confidence:";
-  show "independent supports" Casekit.Propagate.Independent;
-  show "moderately dependent (0.5)" (Casekit.Propagate.Correlated 0.5);
-  let lo, hi = Casekit.Propagate.bounds case in
+  show "independent supports" G.Independent;
+  show "moderately dependent (0.5)" (G.Correlated 0.5);
+  let lo = confidence G.Frechet_lower case
+  and hi = confidence G.Frechet_upper case in
   Printf.printf "  %-28s [%.5f, %.5f]\n" "any dependence (Frechet)" lo hi;
 
   (* The two legs in the Littlewood-Wright view. *)
   let leg_doubt goal_id =
     match Casekit.Node.find case ~id:goal_id with
-    | Some node -> 1.0 -. Casekit.Propagate.confidence Casekit.Propagate.Independent node
+    | Some node -> 1.0 -. confidence G.Independent node
     | None -> assert false
   in
   let l1 =

@@ -38,36 +38,23 @@ let check_string ?file kind text =
     | Case -> Case_rules.check text
     | Belief -> Belief_rules.check text)
 
-let check_file path =
+(* Sys_error names the path when open fails but not when a read does (a
+   directory), so the path is stripped and put back. *)
+let read_file path =
   match In_channel.with_open_bin path In_channel.input_all with
+  | text -> Ok text
   | exception Sys_error msg ->
+    let prefix = path ^ ": " in
+    if String.starts_with ~prefix msg then Error msg
+    else Error (prefix ^ msg)
+
+let check_file path =
+  match read_file path with
+  | Error msg ->
     [ D.make ~file:path ~code:"F000" ~severity:D.Error ~line:0 msg ]
-  | text ->
+  | Ok text ->
     let kind = match kind_of_path path with Some k -> k | None -> sniff text in
     check_string ~file:path kind text
-
-(* --- parse + check in one call -------------------------------------------- *)
-
-type 'a checked = { value : 'a option; diagnostics : D.t list }
-
-let case ?file text =
-  let rows, diagnostics = Case_rules.scan text in
-  let value =
-    match Option.map Casekit.Case_format.load rows with
-    | Some (g, _) -> Some (Casekit.Graph.to_node g)
-    | None | (exception Casekit.Case_format.Parse_error _) -> None
-  in
-  { value; diagnostics = with_file ?file diagnostics }
-
-let belief ?file text =
-  let diagnostics = check_string ?file Belief text in
-  let value =
-    match Elicit.Belief_format.parse text with
-    | b -> Some b
-    | exception Elicit.Belief_format.Parse_error _ -> None
-    | exception Invalid_argument _ -> None
-  in
-  { value; diagnostics }
 
 let codes_table () =
   let render (code, severity, description) =

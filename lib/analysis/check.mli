@@ -1,6 +1,5 @@
-(** File-level driver for the static analyser: decide what a document is,
-    run the matching rule set, and (for library users) parse and check in a
-    single call. *)
+(** File-level driver for the static analyser: decide what a document is
+    and run the matching rule set. *)
 
 type kind = Case | Belief
 
@@ -17,26 +16,16 @@ val sniff : string -> kind
     attached to every diagnostic. *)
 val check_string : ?file:string -> kind -> string -> Diagnostic.t list
 
+(** [read_file path] — the whole file in one sized read, or
+    [Error "path: reason"] when it cannot be read (missing, a directory,
+    no permission). *)
+val read_file : string -> (string, string) result
+
 (** [check_file path] — read, classify (extension, then {!sniff}) and
     check.  An unreadable file yields a single [F000] error diagnostic
     rather than raising, so one bad path does not abort a multi-file
     check run. *)
 val check_file : string -> Diagnostic.t list
-
-(** Parse-and-check result: [value] is the strictly-parsed document when
-    the parser accepts it, [None] otherwise; [diagnostics] come from the
-    lenient rule sets either way (so a rejected document still explains
-    everything that is wrong with it, and an accepted one still surfaces
-    its warnings). *)
-type 'a checked = { value : 'a option; diagnostics : Diagnostic.t list }
-
-(** [case text] — [Casekit.Case_format.parse] + {!Case_rules.check} in one
-    call. *)
-val case : ?file:string -> string -> Casekit.Node.t checked
-
-(** [belief text] — [Elicit.Belief_format.parse] + {!Belief_rules.check} in
-    one call. *)
-val belief : ?file:string -> string -> Dist.Mixture.t checked
 
 (** The rendered code table ([confcase check --codes]). *)
 val codes_table : unit -> string

@@ -319,7 +319,7 @@ module Builder = struct
     b.bstatements.(i) <- statement;
     b.bassumptions.(i) <- assumptions;
     Columns.push b.bbase 0.0;
-    (* Same fold as Propagate.assumption_factor: bit-identical product. *)
+    (* Left fold from 1.0, as set_assumption recomputes it. *)
     Columns.push b.bavalid
       (List.fold_left
          (fun acc (a : Node.assumption) -> acc *. a.p_valid)
@@ -499,13 +499,13 @@ let check_dep = function
 
 (* Combined (pre-assumption) value of goal [i] given its children's values
    in [vdata].  Each branch replays the exact float operations (and order)
-   of the List folds in Propagate.and_combine / or_combine, so on trees
-   the result is bit-identical to Propagate.confidence.  The inlined
-   min/max mirror Stdlib.min/max: fold min keeps acc when acc <= c, fold
-   max keeps acc when acc >= c.  Shared between [compute] (concrete
-   propagation) and [propagate_bounds] (interval sweep): running the same
-   arithmetic over the lo and hi columns is what makes point intervals
-   collapse to the propagated bits exactly. *)
+   of a left [List] fold over the children (the reference folds kept as
+   the test oracle), so on trees the result is bit-identical to them.
+   The inlined min/max mirror Stdlib.min/max: fold min keeps acc when
+   acc <= c, fold max keeps acc when acc >= c.  Shared between [compute]
+   (concrete propagation) and [propagate_bounds] (interval sweep):
+   running the same arithmetic over the lo and hi columns is what makes
+   point intervals collapse to the propagated bits exactly. *)
 let combine t dep vdata i =
   let tag = Bytes.unsafe_get t.kinds i in
   begin
@@ -1070,3 +1070,61 @@ let max_overlap t =
     if ov > !m then m := ov
   done;
   !m
+
+(* --- sensitivities ------------------------------------------------------------ *)
+
+(* Each probe edits one input and refreshes: only the input's ancestor
+   cone is re-propagated, so a ranking costs O(edges touched), not
+   O(n * inputs).  refresh returns exactly the bits a full propagation
+   would, so the differences equal those of re-evaluating perturbed
+   cases from scratch. *)
+let central_difference perturb current =
+  let h = 1e-4 in
+  let lo = max 1e-6 (current -. h) and hi = min 1.0 (current +. h) in
+  (perturb hi -. perturb lo) /. (hi -. lo)
+
+let leaf_sensitivities dep t =
+  ignore (propagate dep t);
+  evidence_indices t |> Array.to_list
+  |> List.map (fun i ->
+         let c = Columns.get t.base i in
+         let perturb x =
+           set_evidence t i x;
+           refresh dep t
+         in
+         let s = central_difference perturb c in
+         set_evidence t i c;
+         ignore (refresh dep t);
+         (id_of t i, s))
+
+(* Assumptions in preorder from the root, each goal's own ahead of its
+   children's; an explicit stack keeps 10^6-deep chains off the call
+   stack, and a goal shared by several parents is listed once. *)
+let assumptions_preorder t =
+  let seen = Bytes.make t.n '\000' in
+  let rec go acc = function
+    | [] -> List.rev acc
+    | i :: rest when Bytes.get seen i <> '\000' -> go acc rest
+    | i :: rest ->
+      Bytes.set seen i '\001';
+      let stack = ref rest in
+      for e = t.child_off.(i + 1) - 1 downto t.child_off.(i) do
+        stack := t.child.(e) :: !stack
+      done;
+      go (List.rev_append t.assumption_lists.(i) acc) !stack
+  in
+  go [] [ t.root ]
+
+let assumption_sensitivities dep t =
+  ignore (propagate dep t);
+  List.map
+    (fun (a : Node.assumption) ->
+      let perturb p =
+        set_assumption t ~id:a.aid ~p_valid:p;
+        refresh dep t
+      in
+      let s = central_difference perturb a.p_valid in
+      set_assumption t ~id:a.aid ~p_valid:a.p_valid;
+      ignore (refresh dep t);
+      (a.aid, s))
+    (assumptions_preorder t)

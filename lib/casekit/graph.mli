@@ -20,12 +20,15 @@
 
     {2 Bit-identity contract}
 
-    On a tree, [propagate dep (of_node t)] returns exactly the bits of
-    [Propagate.confidence dep t] for every dependence model: the kernels
-    replay the same float operations in the same order as the [List]
-    folds in {!Propagate}.  {!propagate_par} computes every node from the
-    same inputs as the sequential kernel (levels only order the schedule,
-    writes are disjoint), so it is bit-identical at any domain count.
+    On a tree, each goal combines its children with the same float
+    operations, in the same order, as a left [List] fold over the
+    children's values followed by the product of its assumption
+    validities.  The test suite keeps those folds as a reference
+    evaluator and checks [propagate dep (of_node t)] against it bit for
+    bit under every dependence model.  {!propagate_par} computes every
+    node from the same inputs as the sequential kernel (levels only order
+    the schedule, writes are disjoint), so it is bit-identical at any
+    domain count.
 
     {2 Shared-evidence discount}
 
@@ -154,6 +157,24 @@ val refresh : dependence -> t -> float
     The cold-path lever: benchmarks and the serve [flush] request use it
     to force an uncached evaluation without rebuilding the graph. *)
 val invalidate : t -> unit
+
+(** {1 Sensitivities}
+
+    Both rankings answer the ACARP question "which input is worth
+    strengthening?" with central differences of the root value (step
+    [1e-4], clamped to [[1e-6, 1]]).  Each probe is a {!set_evidence} or
+    {!set_assumption} edit followed by {!refresh}, so a ranking re-runs
+    only the edited inputs' ancestor cones.  Both start with a full
+    {!propagate} under [dep] and restore every input they perturb. *)
+
+(** [leaf_sensitivities dep t] — [(id, d root / d confidence)] for each
+    evidence node, in ascending index order. *)
+val leaf_sensitivities : dependence -> t -> (string * float) list
+
+(** [assumption_sensitivities dep t] — [(id, d root / d p_valid)] for
+    each assumption, in preorder from the root: each goal's assumptions
+    ahead of its children's. *)
+val assumption_sensitivities : dependence -> t -> (string * float) list
 
 (** {1 Content-addressed structural hashing}
 

@@ -119,16 +119,16 @@ let dependence_models () =
           [ Casekit.Node.evidence ~id:"E3" ~statement:"proof" ~confidence:0.95;
             Casekit.Node.evidence ~id:"E4" ~statement:"timing" ~confidence:0.98 ] ]
   in
+  let g = Casekit.Graph.of_node case in
   let rows =
     List.map
       (fun (label, dep) ->
-        [ label;
-          Printf.sprintf "%.5f" (Casekit.Propagate.confidence dep case) ])
-      [ ("independent", Casekit.Propagate.Independent);
-        ("correlated 0.25", Casekit.Propagate.Correlated 0.25);
-        ("correlated 0.75", Casekit.Propagate.Correlated 0.75);
-        ("Frechet lower", Casekit.Propagate.Frechet_lower);
-        ("Frechet upper", Casekit.Propagate.Frechet_upper) ]
+        [ label; Printf.sprintf "%.5f" (Casekit.Graph.propagate dep g) ])
+      [ ("independent", Casekit.Graph.Independent);
+        ("correlated 0.25", Casekit.Graph.Correlated 0.25);
+        ("correlated 0.75", Casekit.Graph.Correlated 0.75);
+        ("Frechet lower", Casekit.Graph.Frechet_lower);
+        ("Frechet upper", Casekit.Graph.Frechet_upper) ]
   in
   section "Ablation: dependence model for case propagation"
     (Report.Table.render

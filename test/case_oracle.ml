@@ -1,7 +1,9 @@
 (* Reference implementations of the case-file front end, kept as oracles
    for the single-scan pipeline (Case_format.scan/load and the row-sweep
    Case_rules): the list parser that went text -> raw list -> Node.t tree,
-   and the lint that rebuilt a lenient tree and walked it.  Written for
+   and the lint that rebuilt a lenient tree and walked it; and of the
+   evaluator, as oracle for the CSR Graph kernels: the List folds over a
+   Node.t tree that Graph.propagate must match bit for bit.  Written for
    clarity, not speed.  The lexer follows the same escaping rule as the
    format: inside a statement a backslash escapes a backslash, a double
    quote or n (newline); any other backslash sequence is an error. *)
@@ -440,3 +442,103 @@ let check text =
     @ List.concat_map check_depth roots
     @ List.concat_map check_shared_evidence roots
     |> D.sort
+
+(* --- the tree evaluator --------------------------------------------------------- *)
+
+module G = Casekit.Graph
+
+let check_conf c =
+  if not (c >= 0.0 && c <= 1.0) then
+    invalid_arg "Case_oracle: confidence out of [0,1]"
+
+let check_rho rho =
+  if not (rho >= 0.0 && rho <= 1.0) then
+    invalid_arg "Case_oracle: rho out of [0,1]"
+
+let and_independent = List.fold_left ( *. ) 1.0
+let and_comonotone = List.fold_left min 1.0
+
+let and_frechet_lower cs =
+  let n = float_of_int (List.length cs) in
+  max 0.0 (List.fold_left ( +. ) 0.0 cs -. (n -. 1.0))
+
+let or_independent cs =
+  1.0 -. List.fold_left (fun acc c -> acc *. (1.0 -. c)) 1.0 cs
+
+let or_comonotone = List.fold_left max 0.0
+let or_frechet_upper cs = min 1.0 (List.fold_left ( +. ) 0.0 cs)
+
+(* P(all hold) for the given marginal confidences. *)
+let and_combine dep cs =
+  List.iter check_conf cs;
+  match dep with
+  | G.Independent -> and_independent cs
+  | G.Frechet_lower -> and_frechet_lower cs
+  | G.Frechet_upper -> and_comonotone cs
+  | G.Correlated rho ->
+    check_rho rho;
+    ((1.0 -. rho) *. and_independent cs) +. (rho *. and_comonotone cs)
+
+(* P(at least one holds). *)
+let or_combine dep cs =
+  List.iter check_conf cs;
+  match dep with
+  | G.Independent -> or_independent cs
+  | G.Frechet_lower -> or_comonotone cs
+  | G.Frechet_upper -> or_frechet_upper cs
+  | G.Correlated rho ->
+    check_rho rho;
+    ((1.0 -. rho) *. or_independent cs) +. (rho *. or_comonotone cs)
+
+(* A goal combines its children, then multiplies in each assumption's
+   validity. *)
+let rec confidence dep = function
+  | N.Evidence e -> e.confidence
+  | N.Goal g ->
+    let cs = List.map (confidence dep) g.supported_by in
+    let combined =
+      match g.combinator with
+      | N.All -> and_combine dep cs
+      | N.Any -> or_combine dep cs
+    in
+    combined
+    *. List.fold_left (fun acc (a : N.assumption) -> acc *. a.p_valid) 1.0
+         g.assumptions
+
+(* The tree with evidence [id] set to [c].
+   @raise Not_found if no evidence has that id. *)
+let what_if node ~id ~confidence:c =
+  let found = ref false in
+  let rec go = function
+    | N.Evidence e when e.id = id ->
+      found := true;
+      N.evidence ~id ~statement:e.statement ~confidence:c
+    | N.Evidence _ as leaf -> leaf
+    | N.Goal g -> N.Goal { g with supported_by = List.map go g.supported_by }
+  in
+  let updated = go node in
+  if not !found then raise Not_found;
+  updated
+
+(* The tree with assumption [id] set to [p].
+   @raise Not_found if no assumption has that id. *)
+let what_if_assumption node ~id ~p_valid:p =
+  let found = ref false in
+  let rec go = function
+    | N.Evidence _ as leaf -> leaf
+    | N.Goal g ->
+      let assumptions =
+        List.map
+          (fun (a : N.assumption) ->
+            if a.aid = id then begin
+              found := true;
+              { a with p_valid = p }
+            end
+            else a)
+          g.assumptions
+      in
+      N.Goal { g with assumptions; supported_by = List.map go g.supported_by }
+  in
+  let updated = go node in
+  if not !found then raise Not_found;
+  updated

@@ -224,56 +224,138 @@ let test_cli_malformed_case_exits_2 () =
     [ "check"; "propagate"; "case" ]
 
 (* One input-error contract: a malformed case or belief file is reported
-   as [path:line:col: message] on stderr and exits 2, whichever subcommand
-   read it. *)
+   as [path:line:col: message] and exits 2, whichever subcommand read it;
+   so is a file that cannot be read at all (a directory, a missing path):
+   [confcase: path: reason] on stderr, or an F000 diagnostic from the
+   multi-file [check] and [audit]. *)
 let test_cli_input_errors () =
   let exe = Filename.concat ".." (Filename.concat "bin" "confcase.exe") in
   let case = read_path "examples/bad_shutdown.case" in
+  let good_case = read_path "examples/shutdown.case" in
   let belief = read_path "examples/bad_sis.belief" in
-  let err = Filename.temp_file "confcase" ".err" in
+  let out = Filename.temp_file "confcase" ".out" in
+  let dir = Filename.temp_file "confcase" ".dir" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let missing = Filename.concat dir "missing.case" in
+  let unreadable path =
+    [ ([ "case"; path ], "confcase: " ^ path ^ ": ");
+      ([ "propagate"; path ], "confcase: " ^ path ^ ": ");
+      ([ "judge"; "--belief-file"; path ], "confcase: " ^ path ^ ": ");
+      ([ "stream"; "--belief-file"; path; "--events"; "1" ],
+        "confcase: " ^ path ^ ": ");
+      ([ "audit"; good_case; "--belief"; path ], "confcase: " ^ path ^ ": ");
+      ([ "audit"; path ], path ^ ":error[F000]: " ^ path ^ ": ");
+      ([ "check"; path ], path ^ ":error[F000]: " ^ path ^ ": ") ]
+  in
   List.iter
     (fun (args, where) ->
       let code =
         Sys.command
-          (Filename.quote_command exe ~stdout:Filename.null ~stderr:err args)
+          (Filename.quote_command exe ~stdout:out ~stderr:out args)
       in
       let what = String.concat " " args in
       Alcotest.(check int) (what ^ " exits 2") 2 code;
       check_true (what ^ " reports " ^ where)
-        (Helpers.contains_substring (read_file err) where))
-    [ ([ "propagate"; case ], case ^ ":11:14: duplicate id E1");
-      ([ "case"; case ], case ^ ":11:14: duplicate id E1");
-      ([ "judge"; "--belief-file"; belief ], belief ^ ":8:1: ");
-      ([ "stream"; "--belief-file"; belief; "--events"; "1" ], belief ^ ":8:1: ") ];
-  Sys.remove err
+        (Helpers.contains_substring (read_file out) where))
+    ([ ([ "propagate"; case ], case ^ ":11:14: duplicate id E1");
+       ([ "case"; case ], case ^ ":11:14: duplicate id E1");
+       ([ "judge"; "--belief-file"; belief ], belief ^ ":8:1: ");
+       ([ "stream"; "--belief-file"; belief; "--events"; "1" ], belief ^ ":8:1: ") ]
+    @ List.map
+        (fun (args, where) -> (args, where ^ "Is a directory"))
+        (unreadable dir)
+    @ List.map
+        (fun (args, where) -> (args, where ^ "No such file or directory"))
+        (unreadable missing));
+  Sys.remove out;
+  Sys.rmdir dir
+
+(* Golden: [confcase case --sensitivities] on the shipped two-leg case —
+   the rendered tree, the 5-decimal root, the Frechet bounds and both
+   rankings, sorted by influence.  A rho outside [0,1] is rejected before
+   anything is printed. *)
+let test_cli_case_golden () =
+  let exe = Filename.concat ".." (Filename.concat "bin" "confcase.exe") in
+  let out = Filename.temp_file "confcase" ".out" in
+  let code =
+    Sys.command
+      (Filename.quote_command exe ~stdout:out
+         [ "case"; read_path "examples/shutdown.case"; "--sensitivities" ])
+  in
+  Alcotest.(check int) "case exits 0" 0 code;
+  Alcotest.(check string) "case stdout"
+    {|[G] G0: Shutdown system pfd < 1e-3 (ANY of 2)
+  [A] A0: Demand profile matches the hazard analysis (valid with p=0.97)
+  [G] G1: Statistical-testing leg (ALL of 2)
+    [E] E1: 4600 failure-free statistically representative demands (confidence 0.99)
+    [E] E2: Test oracle validated against the specification (confidence 0.97)
+  [G] G2: Analytical leg (ALL of 2)
+    [E] E3: Mechanised proof of the shutdown logic (confidence 0.95)
+    [E] E4: Worst-case timing analysis within budget (confidence 0.98)
+
+Root confidence: 0.96734
+Under any dependence: [0.93120, 0.97000]
+
+Evidence sensitivities (d root / d leaf):
+  E2           0.0663
+  E1           0.0649
+  E3           0.0377
+  E4           0.0366
+Assumption sensitivities:
+  A0           0.9973
+|}
+    (read_file out);
+  let code =
+    Sys.command
+      (Filename.quote_command exe ~stdout:Filename.null ~stderr:Filename.null
+         [ "case"; read_path "examples/shutdown.case"; "--dependence"; "1.5" ])
+  in
+  Alcotest.(check int) "rho outside [0,1] is a usage error" 124 code;
+  Sys.remove out
+
+(* Whether the strict loaders accept a document. *)
+let case_loads text =
+  match Casekit.Case_format.(load (scan text)) with
+  | _ -> true
+  | exception Casekit.Case_format.Parse_error _ -> false
+
+let belief_parses text =
+  match Elicit.Belief_format.parse text with
+  | _ -> true
+  | exception (Elicit.Belief_format.Parse_error _ | Invalid_argument _) -> false
 
 let test_shipped_fixtures () =
   (* Good fixtures are --strict-clean (sis.belief's migration is an info). *)
-  let good_case = Check.case (read_file "examples/shutdown.case") in
-  check_true "shutdown.case parses" (good_case.value <> None);
+  let good_case = read_file "examples/shutdown.case" in
+  check_true "shutdown.case parses" (case_loads good_case);
   Alcotest.(check int) "shutdown.case strict-clean" 0
-    (D.exit_code ~strict:true good_case.diagnostics);
-  let good_belief = Check.belief (read_file "examples/sis.belief") in
-  check_true "sis.belief parses" (good_belief.value <> None);
-  assert_has ~severity:D.Info "B004" good_belief.diagnostics;
+    (D.exit_code ~strict:true (Check.check_string Check.Case good_case));
+  let good_belief = read_file "examples/sis.belief" in
+  let good_belief_diags = Check.check_string Check.Belief good_belief in
+  check_true "sis.belief parses" (belief_parses good_belief);
+  assert_has ~severity:D.Info "B004" good_belief_diags;
   Alcotest.(check int) "sis.belief strict-clean" 0
-    (D.exit_code ~strict:true good_belief.diagnostics);
+    (D.exit_code ~strict:true good_belief_diags);
   (* Bad fixtures trigger the documented codes and exit 2. *)
-  let bad_case = Check.case (read_file "examples/bad_shutdown.case") in
+  let bad_case = read_file "examples/bad_shutdown.case" in
+  let bad_case_diags = Check.check_string Check.Case bad_case in
   List.iter
-    (fun c -> assert_has c bad_case.diagnostics)
+    (fun c -> assert_has c bad_case_diags)
     [ "C001"; "C002"; "C003"; "C009" ];
   Alcotest.(check int) "bad_shutdown.case exits 2" 2
-    (D.exit_code bad_case.diagnostics);
+    (D.exit_code bad_case_diags);
   check_true "bad_shutdown.case is rejected by the strict parser"
-    (bad_case.value = None);
-  let bad_belief = Check.belief (read_file "examples/bad_sis.belief") in
+    (not (case_loads bad_case));
+  let bad_belief_diags =
+    Check.check_string Check.Belief (read_file "examples/bad_sis.belief")
+  in
   List.iter
-    (fun c -> assert_has c bad_belief.diagnostics)
+    (fun c -> assert_has c bad_belief_diags)
     [ "B001"; "B002"; "B004" ];
-  assert_has ~severity:D.Warning "B004" bad_belief.diagnostics;
+  assert_has ~severity:D.Warning "B004" bad_belief_diags;
   Alcotest.(check int) "bad_sis.belief exits 2" 2
-    (D.exit_code bad_belief.diagnostics)
+    (D.exit_code bad_belief_diags)
 
 (* Golden: the C009 warning on bad_shutdown.case carries the computed
    overlap fraction — one shared evidence statement out of three distinct
@@ -283,9 +365,11 @@ let test_shipped_fixtures () =
    the same shape in test_graph.ml), so the static warning and the
    propagation-time correlation floor agree on one number. *)
 let test_c009_overlap_fraction () =
-  let r = Check.case (read_file "examples/bad_shutdown.case") in
+  let diags =
+    Check.check_string Check.Case (read_file "examples/bad_shutdown.case")
+  in
   let c009 =
-    match List.find_opt (fun (d : D.t) -> d.code = "C009") r.diagnostics with
+    match List.find_opt (fun (d : D.t) -> d.code = "C009") diags with
     | Some d -> d
     | None -> Alcotest.fail "expected a C009 diagnostic"
   in
@@ -296,26 +380,30 @@ let test_c009_overlap_fraction () =
     (Helpers.contains_substring c009.message
        "33% of this goal's evidence is shared");
   let json =
-    D.json_of_report [ ("examples/bad_shutdown.case", r.diagnostics) ]
+    D.json_of_report [ ("examples/bad_shutdown.case", diags) ]
   in
   check_true "json carries the overlap fraction"
     (Helpers.contains_substring json "\"overlap_fraction\":0.333333")
 
 let test_check_api () =
-  (* Parse + check is one call; a clean document yields the parsed value. *)
-  let r = Check.case "goal G \"g\" all\n  evidence E \"a\" 0.9\n  evidence E2 \"b\" 0.9" in
-  (match r.value with
-  | Some node -> Alcotest.(check string) "root id" "G" (Casekit.Node.id node)
-  | None -> Alcotest.fail "expected a parsed case");
-  Alcotest.(check (list string)) "no diagnostics" [] (codes r.diagnostics);
+  (* A clean document loads and yields no diagnostics. *)
+  let clean = "goal G \"g\" all\n  evidence E \"a\" 0.9\n  evidence E2 \"b\" 0.9" in
+  (match Casekit.Case_format.(load (scan clean)) with
+  | g, _ ->
+    Alcotest.(check string) "root id" "G"
+      (Casekit.Graph.id_of g (Casekit.Graph.root g))
+  | exception Casekit.Case_format.Parse_error _ ->
+    Alcotest.fail "expected a parsed case");
+  Alcotest.(check (list string)) "no diagnostics" []
+    (codes (Check.check_string Check.Case clean));
   (* A broken document yields every defect, not just the first. *)
   let broken =
-    Check.case
-      "goal G \"g\" all\n  evidence E \"a\" 1.5\n  evidence E \"b\" 0.9"
+    "goal G \"g\" all\n  evidence E \"a\" 1.5\n  evidence E \"b\" 0.9"
   in
-  check_true "no value" (broken.value = None);
-  assert_has "C001" broken.diagnostics;
-  assert_has "C002" broken.diagnostics;
+  check_true "no value" (not (case_loads broken));
+  let diags = Check.check_string Check.Case broken in
+  assert_has "C001" diags;
+  assert_has "C002" diags;
   (* File driver: unreadable files become F000 instead of an exception. *)
   assert_has ~severity:D.Error "F000"
     (Check.check_file "does_not_exist.case")
@@ -426,6 +514,7 @@ let suite =
     case "exit-code contract" test_exit_codes;
     case "CLI exits 2 on a malformed case" test_cli_malformed_case_exits_2;
     case "CLI input errors are path:line:col, exit 2" test_cli_input_errors;
+    case "CLI case stdout golden" test_cli_case_golden;
     case "shipped fixtures" test_shipped_fixtures;
     case "C009 overlap fraction golden" test_c009_overlap_fraction;
     case "parse + check API" test_check_api;

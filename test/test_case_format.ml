@@ -28,13 +28,13 @@ let test_parse_structure () =
   | _ -> Alcotest.fail "E2 not found"
 
 let test_parse_confidence_used () =
-  let case = F.parse sample_text in
+  let g, _ = F.load (F.scan sample_text) in
   (* ANY(ALL(0.99, 0.97), 0.9) * 0.97. *)
   let expected =
     (1.0 -. ((1.0 -. (0.99 *. 0.97)) *. (1.0 -. 0.9))) *. 0.97
   in
   check_close ~eps:1e-12 "propagated confidence" expected
-    (Casekit.Propagate.confidence Casekit.Propagate.Independent case)
+    (Casekit.Graph.propagate Casekit.Graph.Independent g)
 
 let test_roundtrip () =
   let case = F.parse sample_text in

@@ -139,10 +139,13 @@ let read_file path =
 
 let test_shipped_files_parse () =
   (* The example files in the repository must keep parsing. *)
-  let case = Casekit.Case_format.parse (read_file "examples/shutdown.case") in
-  Alcotest.(check string) "case root" "G0" (Casekit.Node.id case);
+  let module G = Casekit.Graph in
+  let g, _ =
+    Casekit.Case_format.(load (scan (read_file "examples/shutdown.case")))
+  in
+  Alcotest.(check string) "case root" "G0" (G.id_of g (G.root g));
   check_in_range "case confidence plausible" ~lo:0.9 ~hi:1.0
-    (Casekit.Propagate.confidence Casekit.Propagate.Independent case);
+    (G.propagate G.Independent g);
   let belief = Elicit.Belief_format.parse (read_file "examples/sis.belief") in
   check_close "belief perfection atom" 0.05
     (Dist.Mixture.atom_weight belief 0.0);

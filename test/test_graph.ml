@@ -2,7 +2,7 @@ open Helpers
 module N = Casekit.Node
 module G = Casekit.Graph
 module Gen = Casekit.Generate
-module P = Casekit.Propagate
+module O = Case_oracle
 
 let bits = Int64.bits_of_float
 let same_bits a b = Int64.equal (bits a) (bits b)
@@ -52,12 +52,12 @@ let random_tree rng ~depth =
 let gen_seed_depth = QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 4))
 
 let test_bitwise_identity_property =
-  qcheck ~count:150 "propagate (of_node t) == Propagate.confidence, bitwise"
+  qcheck ~count:150 "propagate (of_node t) == Case_oracle.confidence, bitwise"
     gen_seed_depth (fun (seed, depth) ->
       let t = random_tree (rng_of_seed seed) ~depth in
       let g = G.of_node t in
       List.for_all
-        (fun (_, dep) -> same_bits (G.propagate dep g) (P.confidence dep t))
+        (fun (_, dep) -> same_bits (G.propagate dep g) (O.confidence dep t))
         models)
 
 let test_incremental_identity_property =
@@ -74,11 +74,11 @@ let test_incremental_identity_property =
         let i = evs.(Numerics.Rng.int rng (Array.length evs)) in
         let c = Numerics.Rng.uniform rng 0.1 0.999 in
         G.set_evidence g i c;
-        t := P.what_if !t ~id:(G.id_of g i) ~confidence:c;
+        t := O.what_if !t ~id:(G.id_of g i) ~confidence:c;
         let inc = G.refresh dep g in
         (* The incremental value must match both a full re-propagation of
            the same graph and the boxed-tree reference, bit for bit. *)
-        if not (same_bits inc (P.confidence dep !t)) then ok := false;
+        if not (same_bits inc (O.confidence dep !t)) then ok := false;
         if not (same_bits inc (G.propagate dep g)) then ok := false
       done;
       !ok)
@@ -161,11 +161,11 @@ let test_assumption_edit_identity () =
   let g = G.of_node t in
   let dep = G.Correlated 0.5 in
   ignore (G.propagate dep g);
-  let t' = P.what_if_assumption t ~id:"a0" ~p_valid:0.6 in
+  let t' = O.what_if_assumption t ~id:"a0" ~p_valid:0.6 in
   G.set_assumption g ~id:"a0" ~p_valid:0.6;
   let inc = G.refresh dep g in
   check_true "assumption edit matches boxed tree"
-    (same_bits inc (P.confidence dep t'));
+    (same_bits inc (O.confidence dep t'));
   check_true "assumption edit matches full propagate"
     (same_bits inc (G.propagate dep g))
 
@@ -337,9 +337,10 @@ let test_edit_validation () =
   check_raises_invalid "child index out of range" (fun () ->
       ignore (G.Builder.goal b2 ~combinator:N.All [| 3 |]))
 
-(* The sensitivity rankings now run on the incremental engine; this pins
-   them to the old definition — a central difference of the boxed-tree
-   re-evaluation — within 1e-12. *)
+(* The sensitivity rankings run on the incremental engine; this pins
+   them to the definition — a central difference of the reference
+   evaluator on edited trees — within 1e-12, and pins the assumption
+   order to the tree's preorder. *)
 let old_central_difference f current =
   let h = 1e-4 in
   let lo = max 1e-6 (current -. h) and hi = min 1.0 (current +. h) in
@@ -349,14 +350,14 @@ let test_sensitivities_match_tree_path () =
   let t = random_tree (rng_of_seed 11) ~depth:3 in
   List.iter
     (fun (mname, dep) ->
-      let sens = P.leaf_sensitivities dep t in
+      let sens = G.leaf_sensitivities dep (G.of_node t) in
       List.iter
         (fun leaf ->
           match leaf with
           | N.Evidence { id; confidence; _ } ->
             let expected =
               old_central_difference
-                (fun x -> P.confidence dep (P.what_if t ~id ~confidence:x))
+                (fun x -> O.confidence dep (O.what_if t ~id ~confidence:x))
                 confidence
             in
             check_close ~eps:1e-12
@@ -364,7 +365,18 @@ let test_sensitivities_match_tree_path () =
               expected (List.assoc id sens)
           | N.Goal _ -> ())
         (N.leaves t);
-      let asens = P.assumption_sensitivities dep t in
+      let asens = G.assumption_sensitivities dep (G.of_node t) in
+      Alcotest.(check (list string))
+        (mname ^ ": assumptions in tree preorder")
+        (List.rev
+           (N.fold
+              (fun acc n ->
+                match n with
+                | N.Goal g ->
+                  List.rev_append (List.map (fun a -> a.N.aid) g.assumptions) acc
+                | N.Evidence _ -> acc)
+              [] t))
+        (List.map fst asens);
       List.iter
         (fun (aid, s) ->
           let a =
@@ -384,7 +396,7 @@ let test_sensitivities_match_tree_path () =
             let expected =
               old_central_difference
                 (fun x ->
-                  P.confidence dep (P.what_if_assumption t ~id:aid ~p_valid:x))
+                  O.confidence dep (O.what_if_assumption t ~id:aid ~p_valid:x))
                 a.N.p_valid
             in
             check_close ~eps:1e-12
@@ -392,6 +404,29 @@ let test_sensitivities_match_tree_path () =
               expected s)
         asens)
     models
+
+(* The assumption listing walks an explicit stack: a chain of 10^6 goals
+   with assumptions at both ends is listed root first without
+   overflowing. *)
+let test_deep_chain_sensitivities () =
+  let depth = 1_000_000 in
+  let b = G.Builder.create ~capacity:(depth + 1) () in
+  let top = ref (G.Builder.evidence b ~id:"E" ~confidence:0.9 ()) in
+  for k = 1 to depth do
+    let assumptions =
+      if k = 1 || k = depth then
+        [ N.assumption ~id:(Printf.sprintf "a%d" k) ~statement:"s" ~p_valid:0.9 ]
+      else []
+    in
+    top := G.Builder.goal b ~assumptions ~combinator:N.All [| !top |]
+  done;
+  let g = G.Builder.build b ~root:!top in
+  let asens = G.assumption_sensitivities G.Independent g in
+  Alcotest.(check (list string)) "root's assumption first"
+    [ Printf.sprintf "a%d" depth; "a1" ] (List.map fst asens);
+  List.iter
+    (fun (id, s) -> check_close ~eps:1e-6 (id ^ " sensitivity") (0.9 *. 0.9) s)
+    asens
 
 let suite =
   [ case "DAG overlap fraction" test_dag_overlap;
@@ -406,6 +441,7 @@ let suite =
     case "edit and builder validation" test_edit_validation;
     test_children_before_parents_property;
     case "sensitivities match the boxed-tree path" test_sensitivities_match_tree_path;
+    case "assumption sensitivities on a 10^6-deep chain" test_deep_chain_sensitivities;
     test_bitwise_identity_property;
     test_incremental_identity_property;
     test_edit_order_convergence_property ]

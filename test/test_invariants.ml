@@ -116,14 +116,16 @@ let test_propagation_what_if_roundtrip =
   qcheck ~count:50 "what_if to the same confidence is the identity"
     QCheck2.Gen.(map (fun u -> 0.1 +. (0.89 *. u)) (float_bound_inclusive 1.0))
     (fun c ->
-      let tree =
-        Casekit.Node.goal ~id:"G" ~statement:"g"
-          [ Casekit.Node.evidence ~id:"E" ~statement:"e" ~confidence:c;
-            Casekit.Node.evidence ~id:"F" ~statement:"f" ~confidence:0.5 ]
+      let module G = Casekit.Graph in
+      let g =
+        G.of_node
+          (Casekit.Node.goal ~id:"G" ~statement:"g"
+             [ Casekit.Node.evidence ~id:"E" ~statement:"e" ~confidence:c;
+               Casekit.Node.evidence ~id:"F" ~statement:"f" ~confidence:0.5 ])
       in
-      let same = Casekit.Propagate.what_if tree ~id:"E" ~confidence:c in
-      Casekit.Propagate.confidence Casekit.Propagate.Independent same
-      = Casekit.Propagate.confidence Casekit.Propagate.Independent tree)
+      let before = G.propagate G.Independent g in
+      G.set_evidence g (Option.get (G.find g "E")) c;
+      G.refresh G.Independent g = before)
 
 let suite =
   [ test_expect_linearity;

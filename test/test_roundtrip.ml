@@ -64,8 +64,11 @@ let test_case_roundtrip =
 let test_case_print_is_clean =
   qcheck ~count:200 "case_format: print t never triggers analysis errors"
     gen_case_tree (fun t ->
-      let checked = Analysis.Check.case (CF.print t) in
-      checked.value <> None && D.errors checked.diagnostics = 0)
+      let text = CF.print t in
+      (match CF.(load (scan text)) with
+      | _ -> true
+      | exception CF.Parse_error _ -> false)
+      && D.errors (Analysis.Check.check_string Analysis.Check.Case text) = 0)
 
 (* --- belief documents ------------------------------------------------------ *)
 
@@ -121,8 +124,11 @@ let test_belief_roundtrip =
 let test_belief_print_is_clean =
   qcheck ~count:200 "belief_format: print b never triggers analysis errors"
     gen_belief (fun b ->
-      let checked = Analysis.Check.belief (BF.print b) in
-      checked.value <> None && D.errors checked.diagnostics = 0)
+      let text = BF.print b in
+      (match BF.parse text with
+      | _ -> true
+      | exception (BF.Parse_error _ | Invalid_argument _) -> false)
+      && D.errors (Analysis.Check.check_string Analysis.Check.Belief text) = 0)
 
 (* A generated graph names only its root; every other node is anonymous.
    Bridged to a tree and printed, it must parse back to a graph whose root
