@@ -23,7 +23,8 @@ lint-src:
 # emitter).  `propagate` and `case` must also exit 2 on the malformed
 # case file, not cmdliner's usage-error code, and report it as
 # path:line:col (one loop checks both); `judge` and `stream` must do the
-# same with a malformed --belief-file.
+# same with a malformed --belief-file, and `stream --resume` with a
+# snapshot that is missing or a directory (`confcase: PATH: reason`).
 check-fixtures: build
 	dune exec bin/confcase.exe -- check \
 	  examples/shutdown.case examples/sis.belief --strict
@@ -47,6 +48,11 @@ check-fixtures: build
 	    --belief-file examples/bad_sis.belief 2>&1 >/dev/null); \
 	  code=$$?; test "$$code" -eq 2 && \
 	  printf '%s' "$$err" | grep -q 'bad_sis.belief:8:1: ' || exit 1; \
+	done
+	for snap in examples/missing.snap examples; do \
+	  err=$$(dune exec bin/confcase.exe -- stream --resume $$snap \
+	    --events 1 2>&1 >/dev/null); code=$$?; test "$$code" -eq 2 && \
+	  printf '%s' "$$err" | grep -q "confcase: $$snap: " || exit 1; \
 	done
 
 # The semantic audit over the shipped fixtures: the good case must stay

@@ -41,6 +41,23 @@ let read_input path =
   | Ok text -> text
   | Error msg -> input_error msg
 
+(* A [--resume] snapshot, or [confcase: path: reason] and exit 2 when it
+   is missing, not a file, or not a well-formed snapshot of the expected
+   kind. *)
+let read_snapshot path restore =
+  match restore (Numerics.Columns.load path) with
+  | v -> v
+  | exception Sys_error msg -> input_error msg
+  | exception Failure msg ->
+    let prefix = "Columns.load: " ^ path ^ ": " in
+    let reason =
+      if String.starts_with ~prefix msg then
+        String.sub msg (String.length prefix)
+          (String.length msg - String.length prefix)
+      else msg
+    in
+    input_error (path ^ ": " ^ reason)
+
 let positive_float ~what v =
   if v <= 0.0 then `Error (Printf.sprintf "%s must be positive" what)
   else `Ok v
@@ -1335,8 +1352,7 @@ let stream_cmd =
         let acc =
           match resume with
           | None -> fresh ()
-          | Some path ->
-            S.of_columns ?prior:prior_belief (Numerics.Columns.load path)
+          | Some path -> read_snapshot path (S.of_columns ?prior:prior_belief)
         in
         let batch = match batch with
           | Some b ->

@@ -47,34 +47,35 @@ let ln_sil1 = log 1e-1
 let assessor_mu ~log_peak ~sigma = log_peak +. (sigma *. sigma)
 
 (* Per-chunk believer statistics: sums of confidence and mean (folded in
-   row order) plus a t-digest of the per-assessor SIL 2 confidence. *)
+   row order) plus a t-digest of the per-assessor SIL 2 confidence.  The
+   row loop sums in local refs, which stay unboxed, and stores the
+   totals once per chunk: a float field of this mixed record would box
+   on every store. *)
 type partial = {
-  mutable s2 : float;
-  mutable s1 : float;
-  mutable sm : float;
+  s2 : float;
+  s1 : float;
+  sm : float;
   digest : Numerics.Sketch.t;
 }
 
 let phase_stats ?pool ~chunks ~compression st phase =
   let parts =
     Par.map_chunks ?pool ~chunks (fun c ->
-        let p =
-          { s2 = 0.0; s1 = 0.0; sm = 0.0;
-            digest = Numerics.Sketch.create ~compression () }
-        in
+        let digest = Numerics.Sketch.create ~compression () in
+        let s2 = ref 0.0 and s1 = ref 0.0 and sm = ref 0.0 in
         let pos = st.offsets.(c) and len = st.sizes.(c) in
         for i = pos to pos + len - 1 do
           if i >= st.nd then begin
             let sigma = Ba.unsafe_get st.sg i in
             let mu = assessor_mu ~log_peak:(Ba.unsafe_get st.lp i) ~sigma in
             let c2 = Sp.norm_cdf ((ln_sil2 -. mu) /. sigma) in
-            p.s2 <- p.s2 +. c2;
-            p.s1 <- p.s1 +. Sp.norm_cdf ((ln_sil1 -. mu) /. sigma);
-            p.sm <- p.sm +. exp (mu +. (0.5 *. sigma *. sigma));
-            Numerics.Sketch.add p.digest c2
+            s2 := !s2 +. c2;
+            s1 := !s1 +. Sp.norm_cdf ((ln_sil1 -. mu) /. sigma);
+            sm := !sm +. exp (mu +. (0.5 *. sigma *. sigma));
+            Numerics.Sketch.add digest c2
           end
         done;
-        p)
+        { s2 = !s2; s1 = !s1; sm = !sm; digest })
   in
   (* Chunk-order reduction: float sums and digest merges both fold left
      over the chunk index, so the result is domain-count independent. *)

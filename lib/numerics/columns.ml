@@ -371,6 +371,9 @@ type descriptor = { d_name : string; d_count : int; d_offset : int }
    their absolute data offsets.  Every length is checked against the file
    size before use, so truncation at any point yields a clean error. *)
 let read_descriptors path =
+  (* A directory opens fine but fails on the first seek with an errno
+     that names neither the path nor the cause; say what it is. *)
+  if Sys.is_directory path then raise (Sys_error (path ^ ": Is a directory"));
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)

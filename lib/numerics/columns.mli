@@ -157,7 +157,8 @@ val save : string -> (string * t) list -> unit
     truncated data, or a header whose declared lengths disagree with the
     file size — raises [Failure] with a descriptive message before any
     mapping is attempted, so a corrupt snapshot can never turn into a
-    fault on access. *)
+    fault on access.  A path that is missing or names a directory raises
+    [Sys_error "PATH: reason"]. *)
 val load : ?mmap:bool -> string -> (string * t) list
 
 (** [find cols name] — the named column ([Failure] if absent): a

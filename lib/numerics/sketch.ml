@@ -7,18 +7,20 @@
    merging breaks ties by provenance (existing centroids first), and the
    greedy compression scans left to right.
 
-   Centroids live in unboxed columns ([Columns.t]), with a pair of
-   reusable scratch columns for the merge step: once one merge input is
-   exhausted the other's tail is moved with a single [Columns.blit], and
-   repeated merges ([merge_into]) recycle the scratch instead of
-   allocating fresh arrays per merge. *)
+   Centroids and the point buffer live in unboxed columns ([Columns.t]),
+   with a pair of reusable scratch columns for the merge step: once one
+   merge input is exhausted the other's tail is moved with a single
+   [Columns.blit], and repeated merges ([merge_into]) recycle the scratch
+   instead of allocating fresh arrays per merge.  A flush sorts the
+   buffer in place with [Columns.sort], so adding points allocates
+   nothing. *)
 
 type t = {
   compression : float;
   c_mean : Columns.t;  (* centroid means, ascending; length = centroid count *)
   c_weight : Columns.t;
   mutable c_total : float;  (* total weight held in centroids *)
-  buf : float array;  (* unsummarised points *)
+  buf : Columns.t;  (* unsummarised points: fixed capacity, first n_buf live *)
   mutable n_buf : int;
   mutable lo : float;  (* exact stream minimum *)
   mutable hi : float;  (* exact stream maximum *)
@@ -35,7 +37,10 @@ let create ?(compression = 200.0) () =
     c_mean = Columns.create ~capacity:cap ();
     c_weight = Columns.create ~capacity:cap ();
     c_total = 0.0;
-    buf = Array.make (4 * int_of_float (ceil compression)) 0.0;
+    buf =
+      Columns.of_bigarray
+        (Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
+           (4 * int_of_float (ceil compression)));
     n_buf = 0;
     lo = infinity;
     hi = neg_infinity;
@@ -120,8 +125,9 @@ let scratch_reserve t m =
 
 let flush t =
   if t.n_buf > 0 then begin
-    let b = Array.sub t.buf 0 t.n_buf in
-    Array.sort Float.compare b;
+    Columns.set_length t.buf t.n_buf;
+    Columns.sort t.buf;
+    let b = Columns.unsafe_data t.buf in
     let nc = n_c t in
     let m = nc + t.n_buf in
     scratch_reserve t m;
@@ -137,7 +143,10 @@ let flush t =
       let take_centroid =
         !i < nc
         && (!j >= t.n_buf
-            || Float.compare (Bigarray.Array1.unsafe_get cm !i) b.(!j) <= 0)
+            || Float.compare
+                 (Bigarray.Array1.unsafe_get cm !i)
+                 (Bigarray.Array1.unsafe_get b !j)
+               <= 0)
       in
       if take_centroid then begin
         Bigarray.Array1.unsafe_set sm !k (Bigarray.Array1.unsafe_get cm !i);
@@ -145,7 +154,7 @@ let flush t =
         incr i
       end
       else begin
-        Bigarray.Array1.unsafe_set sm !k b.(!j);
+        Bigarray.Array1.unsafe_set sm !k (Bigarray.Array1.unsafe_get b !j);
         Bigarray.Array1.unsafe_set sw !k 1.0;
         incr j
       end;
@@ -162,9 +171,9 @@ let add t x =
   if x <> x then invalid_arg "Sketch.add: NaN";
   if x < t.lo then t.lo <- x;
   if x > t.hi then t.hi <- x;
-  t.buf.(t.n_buf) <- x;
+  Bigarray.Array1.unsafe_set (Columns.unsafe_data t.buf) t.n_buf x;
   t.n_buf <- t.n_buf + 1;
-  if t.n_buf = Array.length t.buf then flush t
+  if t.n_buf = Columns.capacity t.buf then flush t
 
 let add_column t col ~pos ~len =
   if pos < 0 || len < 0 || len > Columns.length col - pos then
@@ -202,20 +211,23 @@ let quantile t p =
       if !rank <= 0.0 then t.lo
       else t.lo +. (target /. !rank *. (mean 0 -. t.lo))
     else begin
-      let result = ref nan in
+      (* [found], not a NaN test on [result]: two infinite neighbouring
+         means interpolate to NaN, which must still end the walk. *)
+      let result = ref nan and found = ref false in
       let i = ref 0 in
-      while Float.is_nan !result && !i < nc - 1 do
+      while (not !found) && !i < nc - 1 do
         let step = (weight !i +. weight (!i + 1)) /. 2.0 in
         if target <= !rank +. step then begin
           let frac = if step <= 0.0 then 0.0 else (target -. !rank) /. step in
-          result := mean !i +. (frac *. (mean (!i + 1) -. mean !i))
+          result := mean !i +. (frac *. (mean (!i + 1) -. mean !i));
+          found := true
         end
         else begin
           rank := !rank +. step;
           incr i
         end
       done;
-      if Float.is_nan !result then begin
+      if not !found then begin
         let step = weight (nc - 1) /. 2.0 in
         let frac =
           if step <= 0.0 then 1.0 else min 1.0 ((target -. !rank) /. step)

@@ -17,6 +17,16 @@
     associative (re-bracketing changes centroid boundaries within the
     error bound), which is why the parallel layer fixes the fold order.
 
+    Ordering contract: a flush sorts the buffered points in place with
+    {!Columns.sort}, which orders them as [Array.sort Float.compare]
+    would, and merges them after any existing centroid with an equal
+    mean.  [add] rejects NaN, so the one case the order leaves open is
+    mixed-sign zeros: [-0.] and [0.] compare equal, and a stream holding
+    both may summarise either sign first (the caveat {!Select} states).
+    For every other stream the centroid state is bit-for-bit that of a
+    flush that copies the buffer and sorts it with [Array.sort].  Adding
+    a point allocates nothing beyond the per-flush centroid bookkeeping.
+
     Not thread-safe: confine a sketch to one domain; combine across
     domains with [merge]. *)
 
@@ -49,7 +59,9 @@ val maximum : t -> float
 
 (** [quantile t p] — estimated p-quantile, [0 <= p <= 1]; exact at p = 0
     and p = 1.  Requires a non-empty sketch.  May compress the internal
-    buffer (the summarised distribution is unchanged). *)
+    buffer (the summarised distribution is unchanged).  Infinite points
+    are accepted; a quantile that interpolates between two infinite
+    centroids is NaN. *)
 val quantile : t -> float -> float
 
 (** [cdf t x] — estimated P(X <= x); 0 below the minimum, 1 above the

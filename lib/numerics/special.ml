@@ -34,11 +34,13 @@ let rec log_gamma x =
 let gamma x = exp (log_gamma x)
 
 (* Regularised incomplete gamma: series for x < a + 1, continued fraction
-   otherwise (Numerical Recipes gser/gcf, tightened tolerances). *)
+   otherwise (Numerical Recipes gser/gcf, tightened tolerances).  Both
+   helpers take [lg] = log_gamma a from the caller, so [erf]/[erfc] can
+   pass a constant instead of re-running the Lanczos sum per call. *)
 let gamma_eps = 1e-15
 let gamma_fpmin = 1e-300
 
-let gamma_p_series a x =
+let gamma_p_series a x lg =
   let ap = ref a in
   let sum = ref (1.0 /. a) in
   let del = ref !sum in
@@ -51,9 +53,9 @@ let gamma_p_series a x =
     sum := !sum +. !del;
     if abs_float !del < abs_float !sum *. gamma_eps then continue_ := false
   done;
-  !sum *. exp ((-.x) +. (a *. log x) -. log_gamma a)
+  !sum *. exp ((-.x) +. (a *. log x) -. lg)
 
-let gamma_q_cf a x =
+let gamma_q_cf a x lg =
   let b = ref (x +. 1.0 -. a) in
   let c = ref (1.0 /. gamma_fpmin) in
   let d = ref (1.0 /. !b) in
@@ -73,27 +75,44 @@ let gamma_q_cf a x =
     if abs_float (del -. 1.0) < gamma_eps then continue_ := false;
     incr i
   done;
-  !h *. exp ((-.x) +. (a *. log x) -. log_gamma a)
+  !h *. exp ((-.x) +. (a *. log x) -. lg)
 
 let gamma_p a x =
   if a <= 0.0 then invalid_arg "Special.gamma_p: a <= 0";
   if x < 0.0 then invalid_arg "Special.gamma_p: x < 0";
   if x = 0.0 then 0.0
-  else if x < a +. 1.0 then gamma_p_series a x
-  else 1.0 -. gamma_q_cf a x
+  else if x < a +. 1.0 then gamma_p_series a x (log_gamma a)
+  else 1.0 -. gamma_q_cf a x (log_gamma a)
 
 let gamma_q a x =
   if a <= 0.0 then invalid_arg "Special.gamma_q: a <= 0";
   if x < 0.0 then invalid_arg "Special.gamma_q: x < 0";
   if x = 0.0 then 1.0
-  else if x < a +. 1.0 then 1.0 -. gamma_p_series a x
-  else gamma_q_cf a x
+  else if x < a +. 1.0 then 1.0 -. gamma_p_series a x (log_gamma a)
+  else gamma_q_cf a x (log_gamma a)
+
+(* erf x = P(1/2, x^2) and erfc x = Q(1/2, x^2): [gamma_p 0.5] and
+   [gamma_q 0.5] inlined with log Gamma(1/2) computed once, so every fp
+   operation (and every bit) is the one the general path performs.
+   [erfc] only reaches Q with x^2 >= 1/4 (or NaN), so it needs no zero
+   test. *)
+let log_gamma_half = log_gamma 0.5
+
+let gamma_p_half z =
+  if z = 0.0 then 0.0
+  else if z < 1.5 then gamma_p_series 0.5 z log_gamma_half
+  else 1.0 -. gamma_q_cf 0.5 z log_gamma_half
 
 let erf x =
-  if x >= 0.0 then (if x = 0.0 then 0.0 else gamma_p 0.5 (x *. x))
-  else -.gamma_p 0.5 (x *. x)
+  if x >= 0.0 then gamma_p_half (x *. x) else -.gamma_p_half (x *. x)
 
-let erfc x = if x < 0.5 then 1.0 -. erf x else gamma_q 0.5 (x *. x)
+let erfc x =
+  if x < 0.5 then 1.0 -. erf x
+  else begin
+    let z = x *. x in
+    if z < 1.5 then 1.0 -. gamma_p_series 0.5 z log_gamma_half
+    else gamma_q_cf 0.5 z log_gamma_half
+  end
 
 let sqrt2 = sqrt 2.0
 

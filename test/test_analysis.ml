@@ -227,7 +227,8 @@ let test_cli_malformed_case_exits_2 () =
    as [path:line:col: message] and exits 2, whichever subcommand read it;
    so is a file that cannot be read at all (a directory, a missing path):
    [confcase: path: reason] on stderr, or an F000 diagnostic from the
-   multi-file [check] and [audit]. *)
+   multi-file [check] and [audit].  A [stream --resume] snapshot that is
+   missing, a directory or truncated is an input error too. *)
 let test_cli_input_errors () =
   let exe = Filename.concat ".." (Filename.concat "bin" "confcase.exe") in
   let case = read_path "examples/bad_shutdown.case" in
@@ -238,11 +239,19 @@ let test_cli_input_errors () =
   Sys.remove dir;
   Sys.mkdir dir 0o755;
   let missing = Filename.concat dir "missing.case" in
+  let truncated = Filename.concat dir "truncated.snap" in
+  Numerics.Columns.save truncated
+    [ ("x", Numerics.Columns.of_array [| 1.0; 2.0 |]) ];
+  let snapshot = read_file truncated in
+  Out_channel.with_open_bin truncated (fun oc ->
+      output_string oc (String.sub snapshot 0 30));
   let unreadable path =
     [ ([ "case"; path ], "confcase: " ^ path ^ ": ");
       ([ "propagate"; path ], "confcase: " ^ path ^ ": ");
       ([ "judge"; "--belief-file"; path ], "confcase: " ^ path ^ ": ");
       ([ "stream"; "--belief-file"; path; "--events"; "1" ],
+        "confcase: " ^ path ^ ": ");
+      ([ "stream"; "--resume"; path; "--events"; "1" ],
         "confcase: " ^ path ^ ": ");
       ([ "audit"; good_case; "--belief"; path ], "confcase: " ^ path ^ ": ");
       ([ "audit"; path ], path ^ ":error[F000]: " ^ path ^ ": ");
@@ -261,7 +270,9 @@ let test_cli_input_errors () =
     ([ ([ "propagate"; case ], case ^ ":11:14: duplicate id E1");
        ([ "case"; case ], case ^ ":11:14: duplicate id E1");
        ([ "judge"; "--belief-file"; belief ], belief ^ ":8:1: ");
-       ([ "stream"; "--belief-file"; belief; "--events"; "1" ], belief ^ ":8:1: ") ]
+       ([ "stream"; "--belief-file"; belief; "--events"; "1" ], belief ^ ":8:1: ");
+       ([ "stream"; "--resume"; truncated; "--events"; "1" ],
+         "confcase: " ^ truncated ^ ": truncated header") ]
     @ List.map
         (fun (args, where) -> (args, where ^ "Is a directory"))
         (unreadable dir)
@@ -269,6 +280,7 @@ let test_cli_input_errors () =
         (fun (args, where) -> (args, where ^ "No such file or directory"))
         (unreadable missing));
   Sys.remove out;
+  Sys.remove truncated;
   Sys.rmdir dir
 
 (* Golden: [confcase case --sensitivities] on the shipped two-leg case —

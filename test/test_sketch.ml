@@ -158,6 +158,14 @@ let rejects_bad_input () =
   check_raises_invalid "quantile of empty" (fun () ->
       Numerics.Sketch.quantile sk 0.5)
 
+let infinite_means_terminate () =
+  (* Three infinite points become neighbouring infinite centroids, whose
+     interpolation is NaN; the anchor walk must still end there. *)
+  let sk = sketch_of [| 1.0; 2.0; infinity; infinity; infinity |] in
+  check_true "q0.7 is NaN, not a hang"
+    (Float.is_nan (Numerics.Sketch.quantile sk 0.7));
+  check_close "q0.1 unaffected" 1.0 (Numerics.Sketch.quantile sk 0.1)
+
 let qcheck_quantile_monotone =
   qcheck ~count:100 "quantiles are monotone in p"
     QCheck2.Gen.(
@@ -218,6 +226,120 @@ let add_column_replays_add () =
   check_raises_invalid "range check" (fun () ->
       Numerics.Sketch.add_column batched col ~pos:19_999 ~len:2)
 
+(* Bitwise agreement with the boxed reference flush ([Array.sub] plus
+   [Array.sort Float.compare]) in [Numerics_oracle].  Streams are drawn
+   from a small value pool so ties are common, with small compressions so
+   one stream spans many flushes; queries interleave with the adds and
+   force flushes of partial buffers.  No stream mixes [-0.] with [0.]:
+   the two compare equal, and which sign a flush sorts first is left
+   open by the ordering contract. *)
+module O = Numerics_oracle.Sketch
+module Sk = Numerics.Sketch
+
+type op = Add of float | Quantile of float | Cdf of float
+
+let gen_value =
+  QCheck2.Gen.(
+    frequency
+      [ (6, map (fun k -> float_of_int k *. 0.125) (int_range (-8) 8));
+        (3, map (fun x -> x +. 0.0) (float_range (-1e3) 1e3));
+        (1, oneofl [ 1e-200; 5e-324; -5e-324; 1e300; infinity; neg_infinity ]) ])
+
+let gen_ops =
+  QCheck2.Gen.(
+    list_size (int_range 0 1500)
+      (frequency
+         [ (40, map (fun x -> Add x) gen_value);
+           (1, map (fun p -> Quantile p) (float_bound_inclusive 1.0));
+           (1, map (fun x -> Cdf x) gen_value) ]))
+
+let gen_compression = QCheck2.Gen.oneofl [ 10.0; 20.0; 37.5; 200.0 ]
+
+let bits_equal name a b =
+  if not (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) then
+    QCheck2.Test.fail_reportf "%s: %h vs oracle %h" name a b
+
+(* Replay [ops] on both sketches; the oracle answers queries through the
+   production [quantile]/[cdf] over its own state. *)
+let replay sk o ops =
+  List.iter
+    (function
+      | Add x ->
+        Sk.add sk x;
+        O.add o x
+      | Quantile p when Sk.count sk > 0 ->
+        bits_equal "quantile" (Sk.quantile sk p)
+          (Sk.quantile (Sk.of_columns (O.to_columns o)) p)
+      | Cdf x when Sk.count sk > 0 ->
+        bits_equal "cdf" (Sk.cdf sk x) (Sk.cdf (Sk.of_columns (O.to_columns o)) x)
+      | Quantile _ | Cdf _ -> ())
+    ops
+
+let same_state sk o =
+  let mine = Sk.to_columns sk and theirs = O.to_columns o in
+  List.iter
+    (fun name ->
+      let a = Numerics.Columns.find mine name
+      and b = Numerics.Columns.find theirs name in
+      if Numerics.Columns.length a <> Numerics.Columns.length b then
+        QCheck2.Test.fail_reportf "%s: length %d vs oracle %d" name
+          (Numerics.Columns.length a) (Numerics.Columns.length b);
+      Numerics.Columns.iteri
+        (fun i x -> bits_equal (Printf.sprintf "%s.(%d)" name i) x
+            (Numerics.Columns.get b i))
+        a)
+    [ "mean"; "weight"; "meta" ];
+  List.iter
+    (fun p ->
+      bits_equal "final quantile" (Sk.quantile sk p)
+        (Sk.quantile (Sk.of_columns theirs) p))
+    (if Sk.count sk > 0 then [ 0.0; 0.05; 0.5; 0.95; 1.0 ] else []);
+  true
+
+let qcheck_flush_oracle =
+  qcheck ~count:300 "add/flush/query bitwise = boxed-flush oracle"
+    QCheck2.Gen.(pair gen_compression gen_ops)
+    (fun (compression, ops) ->
+      let sk = Sk.create ~compression () and o = O.create ~compression () in
+      replay sk o ops;
+      same_state sk o)
+
+let qcheck_merge_into_oracle =
+  qcheck ~count:100 "merge_into fold bitwise = boxed-flush oracle"
+    QCheck2.Gen.(
+      triple gen_compression (list_size (int_range 1 6) gen_ops) gen_ops)
+    (fun (compression, parts, tail) ->
+      let sk = Sk.create ~compression () and o = O.create ~compression () in
+      List.iter
+        (fun ops ->
+          let part = Sk.create ~compression ()
+          and opart = O.create ~compression () in
+          replay part opart ops;
+          Sk.merge_into ~into:sk part;
+          O.merge_into ~into:o opart)
+        parts;
+      (* Keep adding to the merged sketch: its buffer refills and flushes
+         against the merged centroids. *)
+      replay sk o tail;
+      same_state sk o)
+
+(* [add] keeps its buffer unboxed and sorts it in place, so a point
+   costs at most a few words: the boxed argument and its share of the
+   per-flush centroid bookkeeping. *)
+let add_allocation_budget () =
+  let n = 100_000 in
+  let rng = rng_of_seed 303 in
+  let xs = Numerics.Columns.of_array (Array.init n (fun _ -> Numerics.Rng.float rng)) in
+  let d = Numerics.Columns.unsafe_data xs in
+  let sk = Sk.create () in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    Sk.add sk (Bigarray.Array1.unsafe_get d i)
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  if words > 4.0 then
+    Alcotest.failf "Sketch.add allocates %.1f words per point (budget 4)" words
+
 let suite =
   [ case "small sketches are exact" exact_small;
     case "uniform quantile error" uniform_error;
@@ -229,5 +351,9 @@ let suite =
     case "centroid count bounded" bounded_memory;
     case "argument validation" rejects_bad_input;
     case "add_column replays per-element add" add_column_replays_add;
+    case "quantile terminates between infinite means" infinite_means_terminate;
     qcheck_quantile_monotone;
-    qcheck_merge_chunk_order ]
+    qcheck_merge_chunk_order;
+    qcheck_flush_oracle;
+    qcheck_merge_into_oracle;
+    case "add allocates at most 4 words per point" add_allocation_budget ]

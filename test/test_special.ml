@@ -162,6 +162,49 @@ let test_log_sum_exp () =
   (* No overflow for large magnitudes. *)
   check_close "lse large" 1000.0 (Sp.log_sum_exp 1000.0 (-1000.0))
 
+(* Bitwise agreement with the un-hoisted reference (log Gamma(1/2)
+   recomputed inside every call): hoisting the constant must not move a
+   bit of erf, erfc, norm_cdf or the incomplete gammas. *)
+module O = Numerics_oracle.Special
+
+let same_bits name f g x =
+  let a = f x and b = g x in
+  if not (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) then
+    QCheck2.Test.fail_reportf "%s %h: %h vs oracle %h" name x a b;
+  true
+
+let matches_oracle x =
+  same_bits "erf" Sp.erf O.erf x
+  && same_bits "erfc" Sp.erfc O.erfc x
+  && same_bits "norm_cdf" Sp.norm_cdf O.norm_cdf x
+
+let test_erf_oracle_edges () =
+  let edges =
+    [ 0.0; -0.0; 1e-200; -1e-200; 5e-324; -5e-324; infinity; neg_infinity;
+      Float.nan; 0.5; -0.5; Float.pred 0.5; 1.5; -1.5; 27.0; -40.0; 1e300;
+      Float.max_float; Float.min_float ]
+    @ List.concat_map
+        (fun x -> [ Float.pred x; x; Float.succ x; -.x ])
+        [ sqrt 1.5; sqrt 1.5 *. sqrt 2.0; 0.5 *. sqrt 2.0 ]
+  in
+  List.iter (fun x -> check_true "matches oracle" (matches_oracle x)) edges
+
+let gen_wide =
+  QCheck2.Gen.(
+    frequency
+      [ (3, float_range (-40.0) 40.0); (1, float_range (-3.0) 3.0); (1, float) ])
+
+let test_erf_oracle_bits =
+  qcheck ~count:2000 "erf/erfc/norm_cdf bitwise = un-hoisted oracle" gen_wide
+    matches_oracle
+
+let test_gamma_oracle_bits =
+  qcheck ~count:500 "gamma_p/gamma_q bitwise = oracle"
+    QCheck2.Gen.(pair (float_range 0.05 30.0) (float_range 0.0 60.0))
+    (fun (a, x) ->
+      same_bits "gamma_p" (Sp.gamma_p a) (O.gamma_p a) x
+      && same_bits "gamma_q" (Sp.gamma_q a) (O.gamma_q a) x)
+
 let suite =
   [ case "erf values" test_erf_values;
     case "erfc values (incl. far tail)" test_erfc_values;
@@ -180,4 +223,7 @@ let suite =
     case "incomplete beta values" test_beta_values;
     test_beta_symmetry;
     test_beta_inv_roundtrip;
-    case "log_sum_exp" test_log_sum_exp ]
+    case "log_sum_exp" test_log_sum_exp;
+    case "erf/erfc/norm_cdf edge values bitwise = oracle" test_erf_oracle_edges;
+    test_erf_oracle_bits;
+    test_gamma_oracle_bits ]
