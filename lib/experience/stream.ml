@@ -296,6 +296,81 @@ let posterior_after_hours t ~extra =
       ~hours_v:(Numerics.Exact_sum.value s)
   end
 
+(* --- trajectories -------------------------------------------------------- *)
+
+(* A demand-mode extra as a count, checked as [posterior_after_demands]
+   checks its argument. *)
+let demand_extra x =
+  let n = int_of_float x in
+  if float_of_int n <> x then
+    invalid_arg "Stream.trajectory_into: demand-mode extras must be integers";
+  if n < 0 then invalid_arg "Stream.posterior_after_demands: extra < 0";
+  n
+
+(* The conjugate branches compute what [Dist.Mixture.mean] and [prob_le]
+   compute on the one-component mixture that [posterior_after_*] builds
+   (0 + 1 × the component's mean or cdf, with [Beta_d]'s and [Gamma_d]'s
+   cdf guards), from the parameters [Bayes.beta_posterior] and
+   [gamma_posterior] would give it, without building it.  Of the checks on
+   that path only the count check can trip, when a hypothetical demand
+   total overflows; the parameter checks cannot, since the prior
+   parameters are positive and the evidence adds non-negative amounts. *)
+let trajectory_into t ~bound ~extras ~mean ~confidence =
+  let n = Array.length extras in
+  if Array.length mean < n || Array.length confidence < n then
+    invalid_arg "Stream.trajectory_into: output arrays shorter than extras";
+  match t.kind with
+  | Beta_prior { a; b } ->
+    let failures = t.failures in
+    for i = 0 to n - 1 do
+      let demands = t.demands + demand_extra extras.(i) in
+      if demands < failures then invalid_arg "Bayes.beta_posterior: bad counts";
+      let a = a +. float_of_int failures
+      and b = b +. float_of_int (demands - failures) in
+      mean.(i) <- 0.0 +. (1.0 *. (a /. (a +. b)));
+      confidence.(i) <-
+        0.0
+        +. 1.0
+           *. (if bound <= 0.0 then 0.0
+               else if bound >= 1.0 then 1.0
+               else Numerics.Special.beta_inc a b bound)
+    done
+  | Gamma_prior { shape; rate } ->
+    let shape = shape +. float_of_int t.failures in
+    let hours_now = hours t in
+    for i = 0 to n - 1 do
+      let extra = extras.(i) in
+      if Float.is_nan extra || extra < 0.0 then
+        invalid_arg "Stream.posterior_after_hours: extra < 0";
+      (* The hypothetical total goes through the exact sum, as in
+         [posterior_after_hours]. *)
+      let time =
+        if extra = 0.0 then hours_now
+        else begin
+          let s = Numerics.Exact_sum.copy t.hours in
+          Numerics.Exact_sum.add s extra;
+          Numerics.Exact_sum.value s
+        end
+      in
+      let rate = rate +. time in
+      mean.(i) <- 0.0 +. (1.0 *. (shape /. rate));
+      confidence.(i) <-
+        0.0
+        +. 1.0
+           *. (if bound <= 0.0 then 0.0
+               else Numerics.Special.gamma_p shape (rate *. bound))
+    done
+  | Mix_demand _ | Mix_rate _ ->
+    for i = 0 to n - 1 do
+      let p =
+        match mode t with
+        | Demand -> posterior_after_demands t ~extra:(demand_extra extras.(i))
+        | Continuous -> posterior_after_hours t ~extra:extras.(i)
+      in
+      mean.(i) <- Dist.Mixture.mean p;
+      confidence.(i) <- Dist.Mixture.prob_le p bound
+    done
+
 (* --- snapshots ---------------------------------------------------------- *)
 
 (* meta slots: mode tag (0 demand / 1 continuous), kind tag (0 beta /

@@ -153,6 +153,33 @@ val posterior_after_demands : t -> extra:int -> Dist.Mixture.t
 (** [posterior_after_hours t ~extra] — continuous-mode counterpart. *)
 val posterior_after_hours : t -> extra:float -> Dist.Mixture.t
 
+(** [trajectory_into t ~bound ~extras ~mean ~confidence] — for each
+    [i], the posterior mean and the confidence P(measure <= bound) that
+    [t] would have after [extras.(i)] more failure-free demands (demand
+    mode; each extra must be an exact non-negative integer) or operating
+    hours (continuous mode), written to [mean.(i)] and [confidence.(i)].
+    The accumulator is not modified.
+
+    The results are bitwise those of [Dist.Mixture.mean] and
+    [Dist.Mixture.prob_le p bound] on [p = posterior_after_demands t
+    ~extra] (or [posterior_after_hours]), and the errors are theirs, with
+    their messages, raised at the first failing extra.  Conjugate priors
+    take a kernel that builds no distribution: per point it forms the
+    posterior parameters (continuous totals still through the exact
+    sum) and calls one [Special.beta_inc] or [Special.gamma_p], with the
+    same arguments in the same order as the distribution would.  Mixture
+    priors go through [posterior_after_*].
+
+    [Invalid_argument] if [mean] or [confidence] is shorter than
+    [extras], or a demand-mode extra is not an integer. *)
+val trajectory_into :
+  t ->
+  bound:float ->
+  extras:float array ->
+  mean:float array ->
+  confidence:float array ->
+  unit
+
 (** {1 Snapshots}
 
     [to_columns t] — the accumulator state as named columns

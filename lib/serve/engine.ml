@@ -119,7 +119,11 @@ type request =
       failures : int;
     }
   | Stream_posterior of { stream : string; bound : float option }
-  | Stream_trajectory of { stream : string; bound : float; extras : float list }
+  | Stream_trajectory of {
+      stream : string;
+      bound : float;
+      extras : float array;
+    }
   | Stream_save of { stream : string; path : string }
   | Stream_load of {
       stream : string;
@@ -234,12 +238,14 @@ let decode_extras obj =
   match P.member "extras" obj with
   | None -> raise (Err "missing \"extras\"")
   | Some (P.Arr vs) ->
-    List.map
-      (fun v ->
+    let extras = Array.make (List.length vs) 0.0 in
+    List.iteri
+      (fun i v ->
         match P.get_num v with
-        | Some x -> x
+        | Some x -> extras.(i) <- x
         | None -> raise (Err "\"extras\" must be an array of numbers"))
-      vs
+      vs;
+    extras
   | Some _ -> raise (Err "\"extras\" must be an array of numbers")
 
 let decode_request obj =
@@ -433,9 +439,22 @@ let value_fields v cached =
     ("cached", P.Bool cached);
   ]
 
+(* What a successful request answers: its op name and fields, or, for a
+   trajectory, the points as columns, which [execute] writes straight
+   into the response instead of building one value per point. *)
+type reply =
+  | Fields of string * (string * P.t) list
+  | Points of {
+      stream : string;
+      bound : float;
+      extras : float array;
+      mean : float array;
+      confidence : float array;
+    }
+
 let run t req =
   match req with
-  | Bad msg -> Error msg
+  | Bad msg -> raise (Err msg)
   | Load { case; path } ->
     let text = read_file path in
     let g =
@@ -445,7 +464,7 @@ let run t req =
       | g, _ -> g
     in
     Hashtbl.replace t.cases case g;
-    Ok
+    Fields
       ( "load",
         [
           ("case", P.Str case);
@@ -455,7 +474,7 @@ let run t req =
   | Generate { case; seed; legs; fanout; depth; shared; leaf } ->
     let g = Casekit.Generate.case ?seed ?legs ?fanout ?depth ?shared ?leaf () in
     Hashtbl.replace t.cases case g;
-    Ok
+    Fields
       ( "generate",
         [
           ("case", P.Str case);
@@ -472,7 +491,7 @@ let run t req =
       | b -> b
     in
     Hashtbl.replace t.beliefs belief b;
-    Ok
+    Fields
       ( "load_belief",
         [
           ("belief", P.Str belief);
@@ -503,7 +522,7 @@ let run t req =
         if memo then memo_add t key (Int64.bits_of_float v);
         (v, false)
     in
-    Ok ("evaluate", (("case", P.Str case) :: value_fields v cached))
+    Fields ("evaluate", (("case", P.Str case) :: value_fields v cached))
   | Edit { case; target; value; dep } ->
     let g = find_case t case in
     (match target with
@@ -526,24 +545,24 @@ let run t req =
     memo_add t
       (combine_key (G.root_hash g) (G.dependence_hash dep))
       (Int64.bits_of_float v);
-    Ok ("edit", (("case", P.Str case) :: value_fields v false))
+    Fields ("edit", (("case", P.Str case) :: value_fields v false))
   | Quantile { belief; p } ->
     if not (p > 0.0 && p < 1.0) then raise (Err "\"p\" must be in (0,1)");
     let b = find_belief t belief in
     let v = Dist.Mixture.quantile b p in
-    Ok
+    Fields
       ( "quantile",
         [ ("belief", P.Str belief); ("p", P.Num p); ("value", P.Num v) ] )
   | Check { path } ->
     let diags = D.sort (Analysis.Check.check_file path) in
-    Ok ("check", (("path", P.Str path) :: diag_fields diags))
+    Fields ("check", (("path", P.Str path) :: diag_fields diags))
   | Audit { case; target; dep } ->
     let g = find_case t case in
     let options =
       { Analysis.Audit.default_options with target; dependence = dep }
     in
     let diags = D.sort (Analysis.Audit.graph ~options g) in
-    Ok ("audit", (("case", P.Str case) :: diag_fields diags))
+    Fields ("audit", (("case", P.Str case) :: diag_fields diags))
   | Stream_new { stream; spec } ->
     let s =
       match spec with
@@ -555,7 +574,7 @@ let run t req =
         else Experience.Stream.demand_of_belief prior
     in
     Hashtbl.replace t.streams stream s;
-    Ok ("stream", (("stream", P.Str stream) :: stream_totals s))
+    Fields ("stream", (("stream", P.Str stream) :: stream_totals s))
   | Stream_ingest { stream; demands; hours; failures } ->
     let s = find_stream t stream in
     (match (demands, hours) with
@@ -563,7 +582,7 @@ let run t req =
       Experience.Stream.observe_demands s ~demands ~failures
     | None, Some hours -> Experience.Stream.observe_hours s ~hours ~failures
     | _ -> raise (Err "ingest needs exactly one of \"demands\", \"hours\""));
-    Ok ("ingest", (("stream", P.Str stream) :: stream_totals s))
+    Fields ("ingest", (("stream", P.Str stream) :: stream_totals s))
   | Stream_posterior { stream; bound } ->
     let s = find_stream t stream in
     let mean = Experience.Stream.mean s in
@@ -574,40 +593,39 @@ let run t req =
         ("bound", P.Num bound)
         :: conf_fields (Experience.Stream.confidence s ~bound)
     in
-    Ok
+    Fields
       ( "posterior",
         (("stream", P.Str stream) :: stream_totals s)
         @ value_fields mean false @ conf )
   | Stream_trajectory { stream; bound; extras } ->
     let s = find_stream t stream in
-    let point_of extra =
-      let posterior =
-        match Experience.Stream.mode s with
-        | Experience.Stream.Demand ->
-          let n = int_of_float extra in
-          if float_of_int n <> extra || n < 0 then
-            raise
-              (Err "demand-mode \"extras\" must be non-negative integers");
-          Experience.Stream.posterior_after_demands s ~extra:n
-        | Experience.Stream.Continuous ->
-          Experience.Stream.posterior_after_hours s ~extra
-      in
-      P.Obj
-        (( ("extra", P.Num extra)
-         :: ("mean", P.Num (Dist.Mixture.mean posterior))
-         :: conf_fields (Dist.Mixture.prob_le posterior bound) ))
+    let n = Array.length extras in
+    (* Demand-mode extras must be counts.  The points before the first
+       one that is not still run, in order, so an error they raise wins
+       over this one. *)
+    let is_count x =
+      let k = int_of_float x in
+      float_of_int k = x && k >= 0
     in
-    Ok
-      ( "trajectory",
-        [
-          ("stream", P.Str stream);
-          ("bound", P.Num bound);
-          ("points", P.Arr (List.map point_of extras));
-        ] )
+    let rec first_non_count i =
+      if i < n && is_count extras.(i) then first_non_count (i + 1) else i
+    in
+    let valid =
+      match Experience.Stream.mode s with
+      | Experience.Stream.Continuous -> n
+      | Experience.Stream.Demand -> first_non_count 0
+    in
+    let extras = if valid = n then extras else Array.sub extras 0 valid in
+    let mean = Array.create_float valid
+    and confidence = Array.create_float valid in
+    Experience.Stream.trajectory_into s ~bound ~extras ~mean ~confidence;
+    if valid < n then
+      raise (Err "demand-mode \"extras\" must be non-negative integers");
+    Points { stream; bound; extras; mean; confidence }
   | Stream_save { stream; path } ->
     let s = find_stream t stream in
     Numerics.Columns.save path (Experience.Stream.to_columns s);
-    Ok
+    Fields
       ( "stream_save",
         (("stream", P.Str stream) :: ("path", P.Str path) :: stream_totals s) )
   | Stream_load { stream; path; belief; mmap } ->
@@ -621,11 +639,11 @@ let run t req =
       | exception Sys_error msg -> raise (Err msg)
     in
     Hashtbl.replace t.streams stream s;
-    Ok ("stream_load", (("stream", P.Str stream) :: stream_totals s))
+    Fields ("stream_load", (("stream", P.Str stream) :: stream_totals s))
   | Stats ->
     let h = hits t and m = misses t in
     let total = h + m in
-    Ok
+    Fields
       ( "stats",
         [
           ("hits", P.Num (float_of_int h));
@@ -642,25 +660,62 @@ let run t req =
   | Flush ->
     memo_clear t;
     Hashtbl.iter (fun _ g -> G.invalidate g) t.cases;
-    Ok ("flush", [ ("flushed", P.Bool true) ])
-  | Shutdown -> Ok ("shutdown", [])
+    Fields ("flush", [ ("flushed", P.Bool true) ])
+  | Shutdown -> Fields ("shutdown", [])
+
+(* [{"k":v,...] of [fields], the closing brace left to the caller. *)
+let add_head buf fields =
+  Buffer.add_char buf '{';
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char buf ',';
+      P.add_string buf k;
+      Buffer.add_char buf ':';
+      P.add_value buf v)
+    fields
+
+let add_points buf ~extras ~mean ~confidence =
+  for i = 0 to Array.length extras - 1 do
+    if i > 0 then Buffer.add_char buf ',';
+    Buffer.add_string buf "{\"extra\":";
+    P.add_num buf extras.(i);
+    Buffer.add_string buf ",\"mean\":";
+    P.add_num buf mean.(i);
+    Buffer.add_string buf ",\"confidence\":";
+    P.add_num buf confidence.(i);
+    Buffer.add_string buf ",\"confidence_bits\":\"";
+    P.add_bits buf (Int64.bits_of_float confidence.(i));
+    Buffer.add_string buf "\"}"
+  done
 
 let execute t p =
   let id_field = match p.id with Some v -> [ ("id", v) ] | None -> [] in
-  let out =
-    match run t p.req with
-    | Ok (op, fields) ->
-      P.Obj (id_field @ [ ("ok", P.Bool true); ("op", P.Str op) ] @ fields)
-    | Error msg -> P.Obj (id_field @ [ ("ok", P.Bool false); ("error", P.Str msg) ])
-    | exception Err msg ->
-      P.Obj (id_field @ [ ("ok", P.Bool false); ("error", P.Str msg) ])
-    | exception Invalid_argument msg ->
-      P.Obj (id_field @ [ ("ok", P.Bool false); ("error", P.Str msg) ])
-    | exception exn ->
-      P.Obj
-        (id_field
-        @ [ ("ok", P.Bool false); ("error", P.Str (Printexc.to_string exn)) ])
+  let failed msg =
+    let buf = Buffer.create 128 in
+    add_head buf (id_field @ [ ("ok", P.Bool false); ("error", P.Str msg) ]);
+    Buffer.add_char buf '}';
+    Buffer.contents buf
   in
-  P.print out
+  match run t p.req with
+  | Fields (op, fields) ->
+    let buf = Buffer.create 256 in
+    add_head buf
+      (id_field @ [ ("ok", P.Bool true); ("op", P.Str op) ] @ fields);
+    Buffer.add_char buf '}';
+    Buffer.contents buf
+  | Points { stream; bound; extras; mean; confidence } ->
+    (* A point is about 100 bytes. *)
+    let buf = Buffer.create (256 + (112 * Array.length extras)) in
+    add_head buf
+      (id_field
+      @ [ ("ok", P.Bool true); ("op", P.Str "trajectory");
+          ("stream", P.Str stream); ("bound", P.Num bound) ]);
+    Buffer.add_string buf ",\"points\":[";
+    add_points buf ~extras ~mean ~confidence;
+    Buffer.add_string buf "]}";
+    Buffer.contents buf
+  | exception Err msg -> failed msg
+  | exception Invalid_argument msg -> failed msg
+  | exception exn -> failed (Printexc.to_string exn)
 
 let handle t line = execute t (parse t line)

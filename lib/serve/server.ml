@@ -82,41 +82,56 @@ let execute_batch config eng parseds =
 
 (* --- line-framed IO over raw descriptors -------------------------------------- *)
 
+(* Framing: lines end at '\n' and nothing else.  Each read is scanned
+   once, from where the previous one stopped: the bytes of a line that
+   spans reads wait in [partial], so a line of N bytes costs O(N) however
+   many reads it takes. *)
 type reader = {
   fd : Unix.file_descr;
   chunk : Bytes.t;
-  mutable residual : string;  (* bytes after the last complete line *)
-  mutable lines : string list;  (* complete lines, FIFO *)
+  partial : Buffer.t;  (* bytes after the last complete line *)
+  lines : string Queue.t;  (* complete lines, FIFO *)
   mutable eof : bool;
 }
 
 let reader fd =
-  { fd; chunk = Bytes.create 65536; residual = ""; lines = []; eof = false }
+  {
+    fd;
+    chunk = Bytes.create 65536;
+    partial = Buffer.create 256;
+    lines = Queue.create ();
+    eof = false;
+  }
+
+(* The bytes in [partial] followed by [chunk.[pos, pos + len)], as one
+   line; [partial] is emptied. *)
+let complete r pos len =
+  let line =
+    if Buffer.length r.partial = 0 then Bytes.sub_string r.chunk pos len
+    else begin
+      Buffer.add_subbytes r.partial r.chunk pos len;
+      let l = Buffer.contents r.partial in
+      Buffer.reset r.partial;
+      l
+    end
+  in
+  Queue.push line r.lines
 
 let rec fill r =
   match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
   | 0 -> r.eof <- true
   | n ->
-    let data = r.residual ^ Bytes.sub_string r.chunk 0 n in
-    (match String.split_on_char '\n' data with
-    | [] -> assert false
-    | parts ->
-      let rec split_last acc = function
-        | [ last ] -> (List.rev acc, last)
-        | x :: rest -> split_last (x :: acc) rest
-        | [] -> assert false
-      in
-      let complete, rest = split_last [] parts in
-      r.lines <- r.lines @ complete;
-      r.residual <- rest)
+    let start = ref 0 in
+    for j = 0 to n - 1 do
+      if Bytes.unsafe_get r.chunk j = '\n' then begin
+        complete r !start (j - !start);
+        start := j + 1
+      end
+    done;
+    Buffer.add_subbytes r.partial r.chunk !start (n - !start)
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill r
 
-let take_line r =
-  match r.lines with
-  | l :: rest ->
-    r.lines <- rest;
-    Some l
-  | [] -> None
+let take_line r = Queue.take_opt r.lines
 
 let readable fd timeout =
   match Unix.select [ fd ] [] [] timeout with
@@ -131,9 +146,9 @@ let rec next_line r =
   | Some l -> Some l
   | None ->
     if r.eof then
-      if r.residual <> "" then begin
-        let l = r.residual in
-        r.residual <- "";
+      if Buffer.length r.partial > 0 then begin
+        let l = Buffer.contents r.partial in
+        Buffer.reset r.partial;
         Some l
       end
       else None
@@ -156,11 +171,10 @@ let rec next_line_nowait r =
     else None
 
 let write_all fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
+  let len = String.length s in
   let pos = ref 0 in
   while !pos < len do
-    match Unix.write fd b !pos (len - !pos) with
+    match Unix.write_substring fd s !pos (len - !pos) with
     | n -> pos := !pos + n
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
@@ -187,13 +201,19 @@ let run_pipe config eng ~input ~output =
       let lines = Array.of_list (List.rev !acc) in
       let parseds = Array.map (Engine.parse eng) lines in
       let responses = execute_batch config eng parseds in
-      let buf = Buffer.create 1024 in
+      let size =
+        Array.fold_left (fun acc r -> acc + String.length r + 1) 0 responses
+      in
+      let out = Bytes.create size in
+      let pos = ref 0 in
       Array.iter
         (fun resp ->
-          Buffer.add_string buf resp;
-          Buffer.add_char buf '\n')
+          let len = String.length resp in
+          Bytes.blit_string resp 0 out !pos len;
+          Bytes.set out (!pos + len) '\n';
+          pos := !pos + len + 1)
         responses;
-      write_all output (Buffer.contents buf);
+      write_all output (Bytes.unsafe_to_string out);
       if Array.exists Engine.is_shutdown parseds then stop := true
   done
 

@@ -13,6 +13,15 @@
     the control thread.  Responses are written in request-arrival order
     whatever the execution interleaving.
 
+    {2 Framing}
+
+    A request is the bytes up to a ['\n'] (a ['\r'] before it stays in
+    the line, where the JSON parser takes it for whitespace).  An empty
+    line is a malformed request and gets an error response.  In pipe
+    mode a final line without a ['\n'] still counts.  Each read is
+    scanned once, so a line costs time linear in its length however
+    many reads it spans.
+
     {2 Backpressure}
 
     Socket mode keeps one bounded pending queue across all connections

@@ -8,14 +8,19 @@
 #   - an edit refreshes incrementally and a post-flush cold evaluate of
 #     the edited graph reproduces the incremental answer bitwise;
 #   - quantile serves from a hot belief;
-#   - the daemon acknowledges shutdown and exits 0.
+#   - the daemon acknowledges shutdown and exits 0;
+#   - a stream session (Beta, Gamma and belief-mixture streams; ingest,
+#     posterior, trajectories at edge bounds; error rows) reproduces the
+#     recorded transcript in test/golden/ byte for byte.  Clients compare
+#     these bytes, so a changed number layout or error message fails here.
 #
 # Run from the repo root (`make serve-smoke`).
 set -eu
 
 out=$(mktemp)
 req=$(mktemp)
-trap 'rm -f "$out" "$req"' EXIT
+stream_out=$(mktemp)
+trap 'rm -f "$out" "$req" "$stream_out"' EXIT
 
 cat > "$req" <<'EOF'
 {"op":"generate","case":"g","seed":11,"legs":9,"fanout":10,"depth":3,"id":"gen"}
@@ -73,3 +78,15 @@ print("serve-smoke: 11 responses ok; memo bits == cold bits "
       f"({cold['bits']}); incremental edit bits == post-flush cold bits "
       f"({edit['bits']}); clean shutdown")
 EOF
+
+dune exec bin/confcase.exe -- serve < test/golden/serve_stream.ndjson \
+  > "$stream_out"
+code=$?
+test "$code" -eq 0 || { echo "serve exited $code on the stream session"; exit 1; }
+if ! cmp -s "$stream_out" test/golden/serve_stream.expected; then
+  echo "serve-smoke: stream session differs from test/golden/serve_stream.expected"
+  diff "$stream_out" test/golden/serve_stream.expected | head -20
+  exit 1
+fi
+echo "serve-smoke: stream session byte-identical to the golden" \
+  "($(wc -l < test/golden/serve_stream.expected) responses)"

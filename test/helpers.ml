@@ -29,3 +29,11 @@ let qcheck ?(count = 200) name gen prop =
     (QCheck2.Test.make ~count ~name gen prop)
 
 let rng_of_seed seed = Numerics.Rng.create seed
+
+(* The shipped fixtures live at the repo root; dune may run the suite
+   from the test directory or the sandbox root. *)
+let fixture path =
+  if Sys.file_exists path then path
+  else
+    let up = Filename.concat ".." path in
+    if Sys.file_exists up then up else path

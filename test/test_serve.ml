@@ -7,14 +7,6 @@ module Gen = Casekit.Generate
 let bits = Int64.bits_of_float
 let same_bits a b = Int64.equal (bits a) (bits b)
 
-(* The shipped fixtures live at the repo root; dune may run the suite
-   from the test directory or the sandbox root. *)
-let fixture path =
-  if Sys.file_exists path then path
-  else
-    let up = Filename.concat ".." path in
-    if Sys.file_exists up then up else path
-
 (* ------------------------------------------------------------------ *)
 (* Protocol: the hand-rolled NDJSON layer.                            *)
 

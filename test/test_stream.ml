@@ -200,6 +200,144 @@ let test_what_if_queries () =
   S.observe_hours rreally ~hours:50000.0 ~failures:0;
   check_posterior "hours what-if equals observing" rhyp (S.posterior rreally)
 
+(* --- trajectory kernel ------------------------------------------------ *)
+
+(* The kernel's reference: one distribution per point, as the serve
+   trajectory op built before the kernel existed.  Each point is either
+   its (mean, confidence) bits or the message of the error it raised. *)
+type point = Bits of int64 * int64 | Error of string
+
+let dist_point acc ~bound extra =
+  match
+    match S.mode acc with
+    | S.Demand -> S.posterior_after_demands acc ~extra:(int_of_float extra)
+    | S.Continuous -> S.posterior_after_hours acc ~extra
+  with
+  | p -> Bits (bits (M.mean p), bits (M.prob_le p bound))
+  | exception Invalid_argument msg -> Error msg
+
+(* The reference stops at the first failing point, as the kernel does. *)
+let dist_points acc ~bound extras =
+  let rec go = function
+    | [] -> []
+    | e :: rest -> (
+      match dist_point acc ~bound e with
+      | Error _ as err -> [ err ]
+      | pt -> pt :: go rest)
+  in
+  go (Array.to_list extras)
+
+let kernel_points acc ~bound extras =
+  let n = Array.length extras in
+  let mean = Array.make n nan and confidence = Array.make n nan in
+  match S.trajectory_into acc ~bound ~extras ~mean ~confidence with
+  | () ->
+    List.init n (fun i -> Bits (bits mean.(i), bits confidence.(i)))
+  | exception Invalid_argument msg ->
+    (* Points before the failing one are filled; find it by the
+       reference's count. *)
+    let ok = List.length (dist_points acc ~bound extras) - 1 in
+    List.init ok (fun i -> Bits (bits mean.(i), bits confidence.(i)))
+    @ [ Error msg ]
+
+let show_points pts =
+  String.concat "; "
+    (List.map
+       (function
+         | Bits (m, c) -> Printf.sprintf "%Lx/%Lx" m c
+         | Error msg -> msg)
+       pts)
+
+let check_kernel name acc ~bound extras =
+  let want = dist_points acc ~bound extras
+  and got = kernel_points acc ~bound extras in
+  if got <> want then
+    Alcotest.failf "%s (bound %h): kernel %s, dist path %s" name bound
+      (show_points got) (show_points want)
+
+(* Edge bounds plus one random one: at or below 0, at or above 1, nan,
+   subnormal, and the ends of (0, 1). *)
+let edge_bounds =
+  [ 0.0; -0.0; -1.0; 1.0; 2.0; nan; 5e-324; 2.2250738585072014e-308;
+    1e-300; 0.5; 0.999999; 1.0 -. epsilon_float; infinity; neg_infinity ]
+
+let positive_gen =
+  QCheck2.Gen.(map (fun e -> 10.0 ** e) (float_range (-3.0) 4.0))
+
+let trajectory_gen extra_gen =
+  QCheck2.Gen.(
+    tup4 (pair positive_gen positive_gen)
+      (pair (int_range 0 1_000_000) (int_range 0 50))
+      (array_size (int_range 0 6) extra_gen)
+      (float_range 0.0 1.0))
+
+let test_trajectory_kernel_beta =
+  qcheck ~count:300 "trajectory kernel = Dist path (Beta)"
+    (trajectory_gen
+       QCheck2.Gen.(
+         oneof
+           [ pure 0.0;
+             map float_of_int (int_range 0 1000);
+             map float_of_int (int_range 0 1_000_000_000_000) ]))
+    (fun ((a, b), (demands, failures), extras, u) ->
+      let acc = S.demand_beta ~a ~b in
+      S.observe_demands acc ~demands:(demands + failures) ~failures;
+      List.iter
+        (fun bound -> check_kernel "beta" acc ~bound extras)
+        (u :: edge_bounds);
+      true)
+
+let test_trajectory_kernel_gamma =
+  qcheck ~count:300 "trajectory kernel = Dist path (Gamma)"
+    (trajectory_gen
+       QCheck2.Gen.(
+         oneof
+           [ pure 0.0; pure (-0.0); pure infinity; pure 1e300;
+             float_range 0.0 10.0; float_range 0.0 1e9 ]))
+    (fun ((shape, rate), (hours, failures), extras, u) ->
+      let acc = S.rate_gamma ~shape ~rate in
+      S.observe_hours acc ~hours:(float_of_int hours /. 7.0) ~failures;
+      List.iter
+        (fun bound -> check_kernel "gamma" acc ~bound extras)
+        ((u *. 1e-3) :: edge_bounds);
+      true)
+
+let test_trajectory_kernel_errors () =
+  (* Negative and nan hours, also after valid points. *)
+  let g = S.rate_gamma ~shape:2.0 ~rate:100.0 in
+  S.observe_hours g ~hours:5.5 ~failures:1;
+  List.iter
+    (fun extras -> check_kernel "gamma errors" g ~bound:0.01 extras)
+    [ [| -1.0 |]; [| nan |]; [| 1.0; 2.0; -0.5; 3.0 |]; [| 0.0; nan |];
+      [| neg_infinity |] ];
+  (* Negative demands, and a hypothetical total that overflows. *)
+  let b = S.demand_beta ~a:1.0 ~b:1.0 in
+  S.observe_demands b ~demands:(1 lsl 53) ~failures:3;
+  List.iter
+    (fun extras -> check_kernel "beta errors" b ~bound:0.01 extras)
+    [ [| -1.0 |]; [| 5.0; -3.0 |];
+      [| 1.0; float_of_int (max_int - (1 lsl 52)) |] ];
+  check_raises_invalid "fractional demand extra" (fun () ->
+      S.trajectory_into b ~bound:0.01 ~extras:[| 1.5 |]
+        ~mean:(Array.make 1 0.0) ~confidence:(Array.make 1 0.0));
+  check_raises_invalid "short output arrays" (fun () ->
+      S.trajectory_into b ~bound:0.01 ~extras:[| 1.0; 2.0 |]
+        ~mean:(Array.make 1 0.0) ~confidence:(Array.make 2 0.0))
+
+let test_trajectory_kernel_mixture () =
+  let d = S.demand_of_belief (pfd_prior ()) in
+  S.observe_demands d ~demands:300 ~failures:1;
+  List.iter
+    (fun bound ->
+      check_kernel "mixture demand" d ~bound [| 0.0; 1.0; 1000.0; -2.0 |])
+    [ 0.01; 0.0; 1.0; nan ];
+  let r = S.rate_of_belief (rate_prior ()) in
+  S.observe_hours r ~hours:1e4 ~failures:0;
+  List.iter
+    (fun bound ->
+      check_kernel "mixture rate" r ~bound [| 0.0; 10.5; 1e6; nan |])
+    [ 1e-6; 0.0; 1.0 ]
+
 let with_temp_snapshot f =
   let path = Filename.temp_file "confcase_stream" ".snap" in
   Fun.protect
@@ -274,5 +412,9 @@ let suite =
     test_merge_associativity;
     case "merge compatibility checks" test_merge_compatibility;
     case "what-if posterior queries" test_what_if_queries;
+    test_trajectory_kernel_beta;
+    test_trajectory_kernel_gamma;
+    case "trajectory kernel errors" test_trajectory_kernel_errors;
+    case "trajectory kernel on mixtures" test_trajectory_kernel_mixture;
     case "snapshot round trip (plain and mmap)" test_snapshot_round_trip;
     case "ingestion validation" test_ingestion_validation ]
